@@ -153,14 +153,13 @@ def cmd_analyze(args) -> int:
     reports, failures = [], []
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(p, pool.submit(run, p)) for p in paths]
-            outcomes = [(p, f) for p, f in futures]
+            futures = [pool.submit(run, p) for p in paths]
     else:
-        outcomes = None
+        futures = None
 
     for i, path in enumerate(paths):
         try:
-            rep = outcomes[i][1].result() if outcomes else run(path)
+            rep = futures[i].result() if futures else run(path)
             reports.append(rep)
         except (AudioFileError, ValueError) as exc:
             failures.append((path, exc))
@@ -215,8 +214,8 @@ def _profiles_from(reports, domain) -> list[RFormantProfile]:
     for rep in reports:
         dom = rep["domains"].get(domain)
         if dom and dom["present"]:
-            out.append(
-                RFormantProfile(
+            try:
+                prof = RFormantProfile(
                     label=rep["label"],
                     domain=domain,
                     peaks=(),
@@ -224,7 +223,9 @@ def _profiles_from(reports, domain) -> list[RFormantProfile]:
                     band=(rep["band"][0], rep["band"][1]),
                     n_bins=rep["n_bins"],
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"report {rep['label']!r}: {domain}: {exc}") from None
+            out.append(prof)
     return sorted(out, key=lambda p: p.label)
 
 
@@ -285,7 +286,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    args_metric = args.metric
+    load_config(args)  # a bad --config or $RFORMANT_CONFIG exits 2 here too
     reports = [_load_report(p) for p in args.reports]
     labels = [rep["label"] for rep in reports]
     if len(set(labels)) != len(labels):
@@ -305,7 +306,7 @@ def cmd_cluster(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    dm = distance_matrix(profiles, args_metric)
+    dm = distance_matrix(profiles, args.metric)
     tree = upgma(dm)
 
     lines = ["label," + ",".join(dm.labels)]

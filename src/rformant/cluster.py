@@ -46,9 +46,9 @@ def upgma(d: DistanceMatrix) -> Dendrogram:
     """Cluster by repeatedly merging the closest pair under average linkage.
 
     Distance from a merged cluster AB to any C is the size-weighted mean
-    (|A| d(A,C) + |B| d(B,C)) / (|A|+|B|). Equal minima resolve to the
-    lexicographically smallest index pair in the current cluster ordering;
-    the merged cluster takes the smaller index's position.
+    (|A| d(A,C) + |B| d(B,C)) / (|A|+|B|). Of equal minima the first in
+    row-major order wins, the smallest index pair in the current cluster
+    ordering; the merged cluster takes the smaller index's position.
     """
     labels = d.labels
     m = len(labels)
@@ -59,15 +59,12 @@ def upgma(d: DistanceMatrix) -> Dendrogram:
     merges: list[tuple[str, str, float, int]] = []
     links: list[tuple[int, int, float, int]] = []
     next_id = m
+    upper = np.triu(np.ones((m, m), dtype=bool), k=1)
 
     while len(names) > 1:
         k = len(names)
-        best_i, best_j, best_d = 0, 1, np.inf
-        for i in range(k):
-            for j in range(i + 1, k):
-                if cur[i, j] < best_d:
-                    best_i, best_j, best_d = i, j, cur[i, j]
-        i, j = best_i, best_j
+        i, j = divmod(int(np.argmin(np.where(upper[:k, :k], cur, np.inf))), k)
+        best_d = cur[i, j]
         size = sizes[i] + sizes[j]
         merges.append((names[i], names[j], float(best_d), size))
         links.append((ids[i], ids[j], float(best_d), size))

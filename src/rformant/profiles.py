@@ -29,6 +29,9 @@ class RFormantProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "bins", np.asarray(self.bins, dtype=np.float64))
+        values = (np.ravel(self.bins), np.ravel(self.peaks), np.ravel(self.band))
+        if not np.all(np.isfinite(np.concatenate(values))):
+            raise ValueError("bins, peaks and band must be finite")
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
         lo, hi = self.band

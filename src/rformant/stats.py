@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isochrony import manhattan
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -34,6 +32,8 @@ class DistanceMatrix:
             raise ValueError("labels must be unique")
         if v.shape != (m, m):
             raise ValueError(f"values must be {m}x{m}, got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("distances must be finite")
         if np.any(v < 0):
             raise ValueError("distances must be nonnegative")
         if np.any(np.diagonal(v) != 0):
@@ -77,10 +77,7 @@ def hamming_distance(a, b) -> int:
     return int(np.sum(np.round(va, 2) != np.round(vb, 2)))
 
 
-_METRICS = {
-    "manhattan": manhattan,
-    "hamming": lambda a, b: float(hamming_distance(a, b)),
-}
+_METRICS = ("hamming", "manhattan")
 
 
 def distance_matrix(profiles, metric: str = "manhattan") -> DistanceMatrix:
@@ -95,24 +92,29 @@ def distance_matrix(profiles, metric: str = "manhattan") -> DistanceMatrix:
     sizes = {p.n_bins for p in profiles}
     if len(sizes) != 1:
         raise ValueError(f"profiles mix bin counts {sorted(sizes)}")
-    fn = _METRICS[metric]
-    m = len(profiles)
-    values = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = fn(profiles[i].bins, profiles[j].bins)
-            values[i, j] = values[j, i] = d
+    x = np.stack([p.bins for p in profiles])
+    if metric == "manhattan":
+        values = np.abs(x[:, None] - x[None]).sum(2)
+    else:
+        q = np.round(x, 2)
+        values = (q[:, None] != q[None]).sum(2).astype(np.float64)
     return DistanceMatrix(tuple(p.label for p in profiles), values)
 
 
 def mantel(a: DistanceMatrix, b: DistanceMatrix, permutations: int = 9999, seed: int = 0) -> dict:
-    """Mantel permutation test between two distance matrices.
+    """Mantel (1967) permutation test between two distance matrices.
 
     r correlates the strict upper triangles; the null distribution comes
     from jointly permuting B's rows and columns. Two-tailed p with the +1
     correction, so p is never exactly 0. Matrices are first put into a
     canonical label order, which makes the result bit-identical under any
     consistent relabeling of both inputs.
+
+    A joint permutation leaves the mean and spread of B's triangle, and so
+    the denominator of r, unchanged; as A's centered triangle xc sums to
+    0, |r_perm| >= |r_obs| is decided by |sum_{i<j} xc_ij b[p_i, p_j]|.
+    Permutations are scored by that sum, and by |r| itself only where it
+    is within rounding of the observed score (ties, common with hamming).
     """
     if a.labels != b.labels:
         raise ValueError("matrices must carry the same labels in the same order")
@@ -127,13 +129,21 @@ def mantel(a: DistanceMatrix, b: DistanceMatrix, permutations: int = 9999, seed:
     iu = np.triu_indices(m, k=1)
     x = av[iu]
     r_obs = pearson_r(x, bv[iu])
+    xc_upper = np.zeros((m, m))
+    xc_upper[iu] = x - x.mean()
+    s_obs = abs(np.vdot(xc_upper, bv))
+    # generous bound on the rounding in either score and in r: n eps sum|x| max|b|
+    tol = 32 * x.size * np.finfo(float).eps * x.sum() * bv.max()
+
+    def at_least_observed(p):
+        bp = bv.take(p, 0).take(p, 1)
+        s = abs(np.vdot(xc_upper, bp))
+        if abs(s - s_obs) > tol:
+            return s > s_obs
+        return abs(pearson_r(x, bp[iu])) >= abs(r_obs)
+
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(permutations):
-        perm = rng.permutation(m)
-        r_perm = pearson_r(x, bv[np.ix_(perm, perm)][iu])
-        if abs(r_perm) >= abs(r_obs):
-            hits += 1
+    hits = int(sum(at_least_observed(rng.permutation(m)) for _ in range(permutations)))
     return {"r": r_obs, "p": (1 + hits) / (1 + permutations)}
 
 

@@ -259,6 +259,42 @@ def test_cluster_hamming_metric(analyzed, tmp_path):
     assert all(v == int(v) for v in cells)  # hamming counts are whole numbers
 
 
+def report_with_nan_bin(analyzed, tmp_path, name):
+    """A copy of a report whose JSON carries a NaN bin, as json.dump writes it."""
+    rep = json.loads(read(analyzed / f"{name}_report.json"))
+    rep["domains"]["AMS"]["bins"][0] = float("nan")
+    path = tmp_path / f"{name}_nan_report.json"
+    path.write_text(json.dumps(rep))
+    assert "NaN" in path.read_text()
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["compare", "cluster"])
+def test_non_finite_report_bins_exit_2(analyzed, tmp_path, capsys, command):
+    bad = report_with_nan_bin(analyzed, tmp_path, "bravo")
+    reports = [str(analyzed / "alpha_report.json"), bad,
+               str(analyzed / "carol_report.json")]
+    out = tmp_path / "o"
+    rc = main([command, *reports, "--out", str(out), "--permutations", "99"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'bravo'" in err and "finite" in err
+    assert not (out / "mantel.csv").exists()
+    assert not (out / "dendrogram.nwk").exists()
+
+
+def test_cluster_bad_config_exit_2(analyzed, tmp_path, capsys, monkeypatch):
+    reports = [str(analyzed / f"{n}_report.json") for n in ("alpha", "bravo", "carol")]
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("no_such_key = 1\n")
+    rc = main(["cluster", *reports, "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc == 2
+    assert "no_such_key" in capsys.readouterr().err
+    monkeypatch.setenv("RFORMANT_CONFIG", str(cfg))
+    assert main(["cluster", *reports, "--out", str(tmp_path / "o2")]) == 2
+    assert not (tmp_path / "o2").exists()
+
+
 # ---- pvi ----
 
 

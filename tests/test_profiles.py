@@ -198,3 +198,17 @@ def test_profile_validation():
         RFormantProfile("u", AMS, (), bad, (1.0, 10.0), 10)
     with pytest.raises(ValueError):
         RFormantProfile("u", "Q", (), np.zeros(10), (1.0, 10.0), 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_profile_rejects_non_finite_values(bad):
+    # NaN passes "bins < 0" and "|sum - 1| > 1e-9" unnoticed, so it needs
+    # its own check
+    bins = np.zeros(10)
+    bins[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RFormantProfile("u", AMS, (), bins, (1.0, 10.0), 10)
+    with pytest.raises(ValueError, match="finite"):
+        RFormantProfile("u", AMS, ((2.0, bad),), np.eye(10)[0], (1.0, 10.0), 10)
+    with pytest.raises(ValueError):
+        RFormantProfile("u", AMS, (), np.eye(10)[0], (1.0, bad), 10)

@@ -157,6 +157,14 @@ def test_distance_matrix_invariants():
         DistanceMatrix(("a", "b"), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distance_matrix_rejects_non_finite_values(bad):
+    # NaN slips past the sign, diagonal and symmetry checks
+    v = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        DistanceMatrix(("a", "b", "c"), v)
+
+
 # ---- mantel ----
 
 
