@@ -53,8 +53,8 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
     """Load a RIFF/WAVE file as a mono SignalBuffer.
 
     Accepts 8/16/24-bit integer PCM and 32-bit float, mono or stereo, any
-    rate. Stereo is mixed down by the per-sample channel mean; integer
-    samples are scaled by 1/2^(bits-1). ``trim_s`` keeps at most that many
+    rate. Integer samples are scaled by 1/2^(bits-1); stereo is then mixed
+    down by the per-sample channel mean. ``trim_s`` keeps at most that many
     seconds from the start (the whole file if it is shorter).
     """
     path = Path(path)
@@ -70,11 +70,9 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
 
     if data.size == 0:
         raise AudioFileError(f"{path}: zero-length audio")
-    if data.ndim == 2:
-        if data.shape[1] > 2:
-            raise AudioFileError(f"{path}: {data.shape[1]} channels, expected 1 or 2")
-        data = data.astype(np.float64).mean(axis=1)
-    elif data.ndim != 1:
+    if data.ndim == 2 and data.shape[1] > 2:
+        raise AudioFileError(f"{path}: {data.shape[1]} channels, expected 1 or 2")
+    if data.ndim not in (1, 2):
         raise AudioFileError(f"{path}: unsupported sample layout {data.shape}")
 
     if data.dtype == np.uint8:
@@ -88,6 +86,8 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
         samples = np.clip(data.astype(np.float64), -1.0, 1.0)
     else:
         raise AudioFileError(f"{path}: unsupported sample type {data.dtype}")
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)  # after scaling, so the dtype is still known
 
     if trim_s is not None:
         if trim_s <= 0:
@@ -101,9 +101,12 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
 def resample(sig: SignalBuffer, target_rate: float) -> SignalBuffer:
     """Convert a SignalBuffer to a new sample rate.
 
-    Downsampling by an integer factor k averages each k-sample block (the
-    block mean doubles as an anti-alias filter); any other ratio uses linear
-    interpolation. The DC level is preserved either way.
+    One path for every ratio r = rate / target_rate: average each block of
+    k = floor(r) samples (the block mean doubles as an anti-alias filter and
+    keeps the DC level), then, if a fractional ratio is left over, linearly
+    interpolate the block means to the target rate. An integer ratio is the
+    block mean alone; upsampling (k = 1) is interpolation alone. A trailing
+    partial block is dropped.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -112,18 +115,18 @@ def resample(sig: SignalBuffer, target_rate: float) -> SignalBuffer:
 
     x = sig.samples
     ratio = sig.rate / target_rate
-    if target_rate < sig.rate and abs(ratio - round(ratio)) < 1e-9:
-        k = int(round(ratio))
-        n_out = x.size // k
-        if n_out == 0:
+    k = max(1, int(np.floor(ratio + 1e-9)))
+    if k > 1:
+        n_blocks = x.size // k
+        if n_blocks == 0:
             raise ValueError(f"signal too short to decimate by {k}")
-        out = x[: n_out * k].reshape(n_out, k).mean(axis=1)
-    else:
-        n_out = int(round(x.size * target_rate / sig.rate))
+        x = x[: n_blocks * k].reshape(n_blocks, k).mean(axis=1)
+    if abs(ratio - k) >= 1e-9:
+        n_out = int(round(sig.samples.size * target_rate / sig.rate))
         if n_out == 0:
             raise ValueError("signal too short for target rate")
         t_out = np.arange(n_out) / target_rate
-        t_in = np.arange(x.size) / sig.rate
-        out = np.interp(t_out, t_in, x)
+        t_in = np.arange(x.size) / (sig.rate / k)
+        x = np.interp(t_out, t_in, x)
 
-    return replace(sig, samples=out, rate=float(target_rate))
+    return replace(sig, samples=x, rate=float(target_rate))

@@ -239,6 +239,10 @@ def cmd_compare(args) -> int:
     if len(reports) < 3:
         print("error: compare needs at least 3 reports", file=sys.stderr)
         return 2
+    for rep in reports:
+        for pair, r in rep["pearson"].items():
+            if r is not None and not np.isfinite(r):
+                raise ValueError(f"report {rep['label']!r}: pearson {pair} must be finite")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

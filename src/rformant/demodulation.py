@@ -96,6 +96,38 @@ def envelope_peak_pick(
     return Track(values=out, rate=1000.0 / hop_ms, kind=ENVELOPE)
 
 
+def _amdf_matrix(x: np.ndarray, starts: np.ndarray, n_frame: int, taus: np.ndarray) -> np.ndarray:
+    """AMDF of every frame (rows) at every lag (columns).
+
+    One pass per lag over the whole signal, then per-frame sums from the
+    prefix table; avoids a frames x lags python loop. The difference and
+    prefix buffers are allocated once and reused for every lag.
+    """
+    amdf = np.empty((starts.size, taus.size))
+    d = np.empty(x.size - taus[0])
+    c = np.zeros(x.size - taus[0] + 1)
+    for k, tau in enumerate(taus):
+        n = x.size - tau
+        np.subtract(x[:n], x[tau:], out=d[:n])
+        np.abs(d[:n], out=d[:n])
+        np.cumsum(d[:n], out=c[1 : n + 1])
+        amdf[:, k] = (c[starts + n_frame - tau] - c[starts]) / (n_frame - tau)
+    return amdf
+
+
+def _v_fit(row: list[float], i: int) -> tuple[float, float]:
+    """Vertex (lag offset, floor) of a V through row[i] and its neighbours."""
+    b = row[i]
+    if i == 0 or i == len(row) - 1:
+        return 0.0, b
+    a, c = row[i - 1], row[i + 1]
+    s = max(a - b, c - b)
+    if s <= 0.0:
+        return 0.0, b
+    offset = min(max((a - c) / (2.0 * s), -0.5), 0.5)
+    return offset, b - s * abs(offset)
+
+
 def amdf_f0(
     sig: SignalBuffer,
     f0_min: float = 60.0,
@@ -111,6 +143,19 @@ def amdf_f0(
     is voiced when the valley is deep relative to the AMDF mean
     (min/mean < voicing_ratio) and the frame has audible energy. Unvoiced
     frames carry 0.0.
+
+    The true period rarely falls on a whole lag, so each valley compared is
+    refined by fitting a V to the lag and its two neighbours a, b, c. Near
+    its minimum the AMDF of a periodic signal is a sum of |linear| terms:
+    it falls and rises at a constant slope, with a sharp vertex, rather
+    than curving like a parabola. With s = max(a - b, c - b), the steeper
+    side, the vertex sits at offset (a - c) / (2 s) (clipped to half a lag)
+    with floor b - s |offset|. A parabola through a sharp vertex pulls the
+    offset toward the sampled lag and leaves the floor too high, so valleys
+    at different multiples of the period would compare unequally. The
+    octave walk compares floors, and the period is the chosen lag plus its
+    offset, so lag quantization at a low sample rate costs neither the
+    octave decision nor the F0 value.
     """
     if not 0 < f0_min < f0_max:
         raise ValueError(f"need 0 < f0_min < f0_max, got {f0_min}/{f0_max}")
@@ -140,13 +185,7 @@ def amdf_f0(
     sq = np.concatenate(([0.0], np.cumsum(x * x)))
     rms = np.sqrt((sq[starts + n_frame] - sq[starts]) / n_frame)
 
-    # one pass per lag over the whole signal, then per-frame sums from the
-    # prefix table; avoids a frames x lags python loop
-    amdf = np.empty((n_frames, taus.size))
-    for k, tau in enumerate(taus):
-        d = np.abs(x[: x.size - tau] - x[tau:])
-        c = np.concatenate(([0.0], np.cumsum(d)))
-        amdf[:, k] = (c[starts + n_frame - tau] - c[starts]) / (n_frame - tau)
+    amdf = _amdf_matrix(x, starts, n_frame, taus)
 
     best = np.argmin(amdf, axis=1)
     valley = amdf[np.arange(n_frames), best]
@@ -157,23 +196,29 @@ def amdf_f0(
 
     # a periodic frame has equally deep valleys at every multiple of its
     # true lag, so the raw argmin can land an octave (or more) low; walk to
-    # the smallest integer divisor of the winning lag whose valley is about
-    # as deep
+    # the smallest integer divisor of the winning lag whose valley floor is
+    # about as deep
+    offset = np.zeros(n_frames)
     for f in np.flatnonzero(voiced):
-        tau_star = int(taus[best[f]])
-        thresh = valley[f] + 0.05 * (level[f] - valley[f])
+        row = amdf[f].tolist()  # scalar reads below are cheaper on a list
+        i_star = int(best[f])
+        off, floor = _v_fit(row, i_star)
+        tau_star = int(taus[i_star])
+        thresh = floor + 0.05 * (level[f] - floor)
         for k in range(tau_star // tau_min, 1, -1):
             cand = int(round(tau_star / k))
             if cand < tau_min:
                 continue
             lo = max(0, cand - tau_min - 1)
             hi = min(taus.size, cand - tau_min + 2)
-            i_best = lo + int(np.argmin(amdf[f, lo:hi]))
-            if amdf[f, i_best] <= thresh:
-                best[f] = i_best
+            i_best = min(range(lo, hi), key=row.__getitem__)
+            off_k, floor_k = _v_fit(row, i_best)
+            if floor_k <= thresh:
+                i_star, off = i_best, off_k
                 break
+        best[f], offset[f] = i_star, off
 
-    values = np.where(voiced, rate / taus[best], UNVOICED)
+    values = np.where(voiced, rate / (taus[best] + offset), UNVOICED)
     return Track(values=values, rate=1000.0 / hop_ms, kind=F0_RAW)
 
 

@@ -18,6 +18,7 @@ from .audio_io import SignalBuffer, load_wav, resample
 from .config import AnalysisConfig
 from .demodulation import (
     F0_RAW,
+    UNVOICED,
     Track,
     amdf_f0,
     continuize_f0,
@@ -98,18 +99,21 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
     envelope = envelope_peak_pick(rect, cfg.envelope_window_ms, cfg.envelope_hop_ms)
     series[AEMS] = envelope
 
+    # the AMDF costs samples x lags, both proportional to the rate; track F0
+    # on a block-mean copy decimated by the largest integer q that keeps at
+    # least 25 samples per period of f0_max (q = 4 at 44.1/48 kHz, 2 at
+    # 22.05 kHz, 1 at 16 kHz and below), enough for the V-fit of each valley
+    q = max(1, int(sig.rate // (25 * cfg.f0_max_hz)))
     f0 = amdf_f0(
-        sig,
+        resample(sig, sig.rate / q),
         f0_min=cfg.f0_min_hz,
         f0_max=cfg.f0_max_hz,
         frame_ms=cfg.f0_frame_ms,
         hop_ms=cfg.f0_hop_ms,
         voicing_ratio=cfg.voicing_ratio,
     )
-    try:
+    if np.any(f0.values != UNVOICED):  # no voiced frames: FM branch absent
         series[FEMS] = continuize_f0(_log_hz(f0) if cfg.f0_log_hz else f0)
-    except ValueError:
-        pass  # no voiced frames: FM branch absent
 
     spectra, profs, bars = {}, {}, {}
     for domain, s in series.items():

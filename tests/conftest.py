@@ -38,6 +38,27 @@ def pulse_train(pulse_hz, dur_s, rate, carrier_hz=440.0, sigma_s=0.065):
     return env * np.sin(2 * np.pi * carrier_hz * t)
 
 
+def harmonic_voice(f0_of_t, rate, dur_s, syllable_hz=None, seed=0):
+    """Voiced-speech stand-in: a harmonic source on an F0 contour.
+
+    Harmonics up to 3.8 kHz with 1/k amplitudes and seeded random phases,
+    optionally gated by raised-cosine syllables at ``syllable_hz``, plus a
+    noise floor 45 dB down. ``f0_of_t`` maps sample times (s) to Hz.
+    """
+    t = np.arange(int(round(dur_s * rate))) / rate
+    f0 = f0_of_t(t)
+    phase = 2 * np.pi * np.cumsum(f0) / rate
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(0, 2 * np.pi, 64)
+    x = np.zeros(t.size)
+    for k in range(1, int(3800.0 // f0.max()) + 1):
+        x += np.sin(k * phase + offsets[k]) / k
+    if syllable_hz is not None:
+        x *= 0.5 - 0.5 * np.cos(2 * np.pi * syllable_hz * t)
+    x = x / np.abs(x).max() + 10 ** (-45 / 20) * rng.standard_normal(t.size)
+    return 0.8 * x / np.abs(x).max()
+
+
 def autocorr_f0_oracle(
     x, rate, f0_min=60.0, f0_max=400.0, frame_ms=40.0, hop_ms=10.0, min_r=0.5
 ):

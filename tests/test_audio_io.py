@@ -65,6 +65,15 @@ def test_stereo_mixdown(tmp_path):
     assert np.array_equal(sig.samples, np.zeros(left.size))
 
 
+def test_stereo_int16_keeps_its_level(tmp_path):
+    from scipy.io import wavfile
+
+    x = np.round(sine(200, 0.5, 8000, amp=0.5) * 2 ** 15).astype(np.int16)
+    p = tmp_path / "st.wav"
+    wavfile.write(str(p), 8000, np.stack([x, x], axis=1))
+    assert np.max(np.abs(load_wav(p).samples)) == pytest.approx(0.5, abs=1e-4)
+
+
 def test_trim_keeps_head(tmp_path):
     p = tmp_path / "long.wav"
     write_wav(p, 1000, np.ones(2000) * 0.5)
@@ -131,6 +140,16 @@ def test_resample_preserves_constant():
     assert out.rate == 200.0
     assert np.allclose(out.samples, 0.25)
     assert out.samples.size == round(441 * 200 / 44100)
+
+
+@pytest.mark.parametrize("rate", [22050.0, 44100.0])
+def test_resample_fractional_ratio_averages_blocks_first(rate):
+    # a tone at the Nyquist rate averages to zero over each (even) block;
+    # interpolating the raw samples would alias it straight through
+    x = 0.5 * (-1.0) ** np.arange(int(rate))
+    out = resample(SignalBuffer(x, rate, "n"), 200.0)
+    assert out.samples.size == 200
+    assert np.max(np.abs(out.samples)) < 1e-12
 
 
 def test_resample_same_rate_is_identity():

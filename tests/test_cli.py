@@ -283,6 +283,20 @@ def test_non_finite_report_bins_exit_2(analyzed, tmp_path, capsys, command):
     assert not (out / "dendrogram.nwk").exists()
 
 
+def test_compare_non_finite_pearson_exit_2(analyzed, tmp_path, capsys):
+    rep = json.loads(read(analyzed / "bravo_report.json"))
+    rep["pearson"]["AMS:AEMS"] = float("nan")
+    bad = tmp_path / "bravo_nan_report.json"
+    bad.write_text(json.dumps(rep))
+    reports = [str(analyzed / "alpha_report.json"), str(bad),
+               str(analyzed / "carol_report.json")]
+    out = tmp_path / "o"
+    rc = main(["compare", *reports, "--out", str(out), "--permutations", "99"])
+    assert rc == 2
+    assert "error: report 'bravo': pearson AMS:AEMS must be finite" in capsys.readouterr().err
+    assert not (out / "pearson_summary.csv").exists()
+
+
 def test_cluster_bad_config_exit_2(analyzed, tmp_path, capsys, monkeypatch):
     reports = [str(analyzed / f"{n}_report.json") for n in ("alpha", "bravo", "carol")]
     cfg = tmp_path / "cfg.txt"

@@ -8,13 +8,15 @@ from rformant.demodulation import (
     F0_CONTINUOUS,
     F0_RAW,
     Track,
+    _amdf_matrix,
+    _v_fit,
     amdf_f0,
     continuize_f0,
     envelope_peak_pick,
     rectify,
 )
 
-from conftest import autocorr_f0_oracle, sine
+from conftest import autocorr_f0_oracle, harmonic_voice, sine
 
 
 def buf(x, rate=16000.0, label="t"):
@@ -148,6 +150,49 @@ def test_amdf_voiced_values_within_range():
     out = amdf_f0(buf(x))
     voiced = out.values[out.values > 0]
     assert np.all((voiced >= 60.0) & (voiced <= 400.0))
+
+
+def _amdf_matrix_reference(x, starts, n_frame, taus):
+    """The AMDF matrix with fresh difference and prefix arrays per lag."""
+    amdf = np.empty((starts.size, taus.size))
+    for k, tau in enumerate(taus):
+        d = np.abs(x[: x.size - tau] - x[tau:])
+        c = np.concatenate(([0.0], np.cumsum(d)))
+        amdf[:, k] = (c[starts + n_frame - tau] - c[starts]) / (n_frame - tau)
+    return amdf
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 16000])
+def test_amdf_matrix_reuses_buffers_bit_identically(rate):
+    x = harmonic_voice(lambda t: 150 + 20 * t, rate, 0.8, syllable_hz=5.0)
+    n_frame, hop = int(round(rate * 0.04)), rate / 100
+    starts = np.round(np.arange(int((x.size - n_frame) / hop) + 1) * hop).astype(np.int64)
+    taus = np.arange(int(np.ceil(rate / 400)), int(rate / 60) + 1)
+    assert np.array_equal(
+        _amdf_matrix(x, starts, n_frame, taus),
+        _amdf_matrix_reference(x, starts, n_frame, taus),
+    )
+
+
+def test_v_fit_finds_the_vertex_between_lags():
+    row = (1.0 + 2.0 * np.abs(np.arange(20) - 10.3)).tolist()
+    offset, floor = _v_fit(row, 10)
+    assert offset == pytest.approx(0.3)
+    assert floor == pytest.approx(1.0)
+    assert _v_fit(row, 0) == (0.0, row[0])  # no neighbour: the lag itself
+    assert _v_fit([1.0] * 5, 2) == (0.0, 1.0)  # flat: no slope to fit
+
+
+@pytest.mark.parametrize("f0", [180.0, 220.0, 240.0])
+def test_amdf_steady_harmonic_tone_at_8khz(f0):
+    # the periods (44.4, 36.4, 33.3 samples) fall between lags; on the
+    # integer lags alone a multiple of the period looked deeper than the
+    # period itself and the walk stopped an octave or more low
+    x = harmonic_voice(lambda t: np.full(t.size, f0), 8000, 2.0)
+    out = amdf_f0(buf(x, rate=8000.0))
+    voiced = out.values[out.values > 0]
+    assert voiced.size >= 0.9 * out.values.size
+    assert np.median(voiced) == pytest.approx(f0, rel=0.01)
 
 
 def test_amdf_rejects_bad_params():

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import am_tone, write_wav
+from conftest import am_tone, harmonic_voice, write_wav
+from rformant import pipeline
 from rformant.audio_io import SignalBuffer, load_wav
 from rformant.config import AnalysisConfig
 from rformant.lts import AEMS, AMS, DOMAINS, FEMS
@@ -89,6 +90,73 @@ def test_silence_drops_fems_and_correlations():
     assert rep.pearson["AMS:AEMS"] is None
     d = rep.to_json_dict()
     assert d["domains"][FEMS] == {"present": False}
+
+
+def test_fm_branch_errors_are_not_swallowed(monkeypatch):
+    def broken(track):
+        raise ValueError("unrelated failure")
+
+    monkeypatch.setattr(pipeline, "continuize_f0", broken)
+    sig = SignalBuffer(samples=am_tone(220.0, 4.0, 5.0, RATE), rate=RATE, label="am")
+    with pytest.raises(ValueError, match="unrelated failure"):
+        analyze_signal(sig)
+
+
+@pytest.mark.parametrize(
+    "rate, f0_rate",
+    [(8000, 8000), (16000, 16000), (22050, 11025), (44100, 11025), (48000, 12000)],
+)
+def test_f0_is_tracked_on_a_decimated_copy(monkeypatch, rate, f0_rate):
+    seen, track_f0 = [], pipeline.amdf_f0
+
+    def spy(sig, **kwargs):
+        seen.append(sig.rate)
+        return track_f0(sig, **kwargs)
+
+    monkeypatch.setattr(pipeline, "amdf_f0", spy)
+    x = am_tone(220.0, 4.0, 3.5, rate)
+    analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="am"))
+    assert seen == [f0_rate]
+
+
+# F0 centred where the period is 70.5 samples at 16 kHz: twice the period
+# then falls on a whole lag and, without the valley fit, out-scored the
+# period itself in the octave walk
+_VIBRATO_BASE_HZ = 16000 / 70.5
+
+
+def _vibrato(t):
+    return _VIBRATO_BASE_HZ * (1 + 0.03 * np.sin(2 * np.pi * 3.0 * t))
+
+
+@pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
+def test_f0_of_a_vibrato_voice_is_rate_invariant(rate):
+    x = harmonic_voice(_vibrato, rate, 3.0, syllable_hz=6.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 3 s is under the coarse-resolution warning
+        track = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="v")).f0_track
+    truth = _vibrato(0.02 + track.times())  # contour at the frame centres
+    voiced = track.values > 0
+    assert voiced.mean() >= 0.8
+    assert np.median(track.values[voiced]) == pytest.approx(np.median(truth[voiced]), rel=0.01)
+    assert np.max(np.abs(track.values[voiced] - truth[voiced])) <= 20.0
+
+
+def _ams_4hz_residual(rate):
+    rng = np.random.default_rng(0)
+    t = np.arange(5 * rate) / rate
+    carrier = 0.5 * np.sin(2 * np.pi * 220 * t) + 0.5 * np.clip(rng.standard_normal(t.size) / 3, -1, 1)
+    x = 0.4 * (1 + np.sin(2 * np.pi * 4.0 * t)) * carrier
+    spec = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="am")).spectra[AMS]
+    return spec.residual[np.argmin(np.abs(spec.freqs - 4.0))]
+
+
+def test_ams_peak_is_rate_invariant():
+    # 44.1 and 22.05 kHz reach 200 Hz by a fractional ratio; block means
+    # first keep the rectified signal's broadband energy from aliasing down
+    reference = _ams_4hz_residual(48000)
+    for rate in (22050, 44100):
+        assert _ams_4hz_residual(rate) == pytest.approx(reference, abs=0.3)
 
 
 def test_config_controls_peak_and_bin_counts():
