@@ -33,7 +33,6 @@ from .lts import (
     LongTermSpectrum,
     long_term_spectrum,
     normalize_log_detrend,
-    square_for_display,
 )
 from .pipeline import UtteranceReport, analyze_clip, analyze_signal
 from .profiles import (
@@ -97,7 +96,6 @@ __all__ = [
     "rpvi",
     "shifted_subvectors",
     "significance_code",
-    "square_for_display",
     "to_newick",
     "top_n_frequencies",
     "upgma",

@@ -8,22 +8,16 @@ the same frequency resolution.
 
 from __future__ import annotations
 
-import threading
-import warnings
+import os
+import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.io.wavfile import WavFileWarning
 
 
 class AudioFileError(ValueError):
     """Unreadable, truncated, unsupported, or empty audio file."""
-
-
-# warning-filter manipulation below touches process-global state
-_READ_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -49,51 +43,138 @@ class SignalBuffer:
         return self.samples.size / self.rate
 
 
-def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
-    """Load a RIFF/WAVE file as a mono SignalBuffer.
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_BYTE_ORDER = {b"RIFF": "<", b"RIFX": ">", b"RF64": "<"}
+# bytes 4-15 of the KSDATAFORMAT_SUBTYPE GUID whose first bytes are the tag;
+# RIFX stores its 2-byte groups big-endian
+_GUID_TAIL = {
+    "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+    ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
+}
 
-    Accepts 8/16/24-bit integer PCM and 32-bit float, mono or stereo, any
-    rate. Integer samples are scaled by 1/2^(bits-1); stereo is then mixed
-    down by the per-sample channel mean. ``trim_s`` keeps at most that many
-    seconds from the start (the whole file if it is shorter).
+
+def _parse_fmt(body: bytes, order: str, path) -> tuple[int, int, int, int, int]:
+    """(format tag, channels, rate, block align, bits) of a 'fmt ' chunk body."""
+    tag, channels, rate, _, block_align, bits = struct.unpack(order + "HHIIHH", body[:16])
+    if tag == _EXTENSIBLE:
+        if len(body) < 40:
+            raise AudioFileError(f"{path}: WAVE_FORMAT_EXTENSIBLE 'fmt ' chunk is too short")
+        guid = body[24:40]
+        if guid[4:] == _GUID_TAIL[order]:
+            tag = struct.unpack(order + "I", guid[:4])[0]
+    return tag, channels, rate, block_align, bits
+
+
+def _find_data(fh, path) -> tuple[str, tuple[int, int, int, int, int], int]:
+    """Walk the chunks up to 'data'; return byte order, format and data size.
+
+    Leaves ``fh`` at the first byte of the data. Unknown chunks are skipped
+    with their pad byte. Nothing after 'data' is read, and the RIFF size
+    field is not used; the caller checks the data size against the file.
     """
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] not in _BYTE_ORDER or head[8:] != b"WAVE":
+        raise AudioFileError(f"{path}: not a RIFF, RIFX or RF64 WAVE file")
+    order = _BYTE_ORDER[head[:4]]
+    fmt = rf64_size = None
+    while True:
+        header = fh.read(8)
+        if not header:
+            raise AudioFileError(f"{path}: no 'data' chunk")
+        if len(header) < 8:
+            raise AudioFileError(f"{path}: chunk header cut off at the end of the file")
+        chunk_id, size = header[:4], struct.unpack(order + "I", header[4:])[0]
+        if chunk_id == b"data":
+            if fmt is None:
+                raise AudioFileError(f"{path}: no 'fmt ' chunk before 'data'")
+            if head[:4] == b"RF64":
+                if rf64_size is None:
+                    raise AudioFileError(f"{path}: RF64 file without a 'ds64' chunk")
+                size = rf64_size
+            return order, fmt, size
+        if chunk_id in (b"fmt ", b"ds64"):
+            body = fh.read(size)
+            if len(body) < size or size < 16:
+                raise AudioFileError(f"{path}: malformed {chunk_id.decode('latin-1')!r} chunk")
+            if chunk_id == b"fmt ":
+                fmt = _parse_fmt(body, order, path)
+            else:
+                rf64_size = struct.unpack("<Q", body[8:16])[0]
+            fh.seek(size & 1, os.SEEK_CUR)
+        else:
+            fh.seek(size + (size & 1), os.SEEK_CUR)
+
+
+def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
+    """Load a RIFF/RIFX/RF64 WAVE file as a mono SignalBuffer.
+
+    Accepts integer PCM in 8-, 16-, 24- or 32-bit containers and 32- or
+    64-bit IEEE float, plain or WAVE_FORMAT_EXTENSIBLE, mono or stereo, any
+    rate. Integer samples are scaled by 1/2^(bits-1) (8-bit, which is
+    unsigned, by (x-128)/128); float samples must be finite and are clipped
+    to [-1, 1]. Stereo is then mixed down by the per-sample channel mean.
+    ``trim_s`` keeps at most that many seconds from the start (the whole
+    file if it is shorter); only those frames are read.
+    """
+    if trim_s is not None and trim_s <= 0:
+        raise ValueError(f"trim_s must be positive, got {trim_s}")
     path = Path(path)
     try:
-        with _READ_LOCK, warnings.catch_warnings():
-            # scipy only warns on truncated data; a short read is an error here
-            warnings.simplefilter("error", WavFileWarning)
-            rate, data = wavfile.read(str(path))
-    except (ValueError, WavFileWarning) as exc:
-        raise AudioFileError(f"{path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            order, (tag, channels, rate, block_align, bits), size = _find_data(fh, path)
+            if tag not in (_PCM, _FLOAT):
+                raise AudioFileError(f"{path}: unsupported format tag {tag:#06x}")
+            if channels not in (1, 2):
+                raise AudioFileError(f"{path}: {channels} channels, expected 1 or 2")
+            width, rest = divmod(block_align, channels)
+            if tag == _PCM:
+                known = 1 <= width <= 4 and (bits + 7) // 8 == width
+            else:
+                known = width in (4, 8) and bits == 8 * width
+            if rest or not known:
+                raise AudioFileError(
+                    f"{path}: unsupported bit depth {bits} in {block_align}-byte frames"
+                )
+            if rate == 0:
+                raise AudioFileError(f"{path}: sample rate 0")
+            available = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > available:
+                raise AudioFileError(
+                    f"{path}: 'data' chunk declares {size} bytes, the file holds {available}"
+                )
+            n = size // block_align
+            if trim_s is not None:
+                n = min(n, int(round(trim_s * rate)))
+            if n == 0:
+                raise AudioFileError(f"{path}: zero-length audio")
+            raw = fh.read(n * block_align)
     except OSError as exc:
         raise AudioFileError(f"{path}: cannot read file ({exc})") from exc
 
-    if data.size == 0:
-        raise AudioFileError(f"{path}: zero-length audio")
-    if data.ndim == 2 and data.shape[1] > 2:
-        raise AudioFileError(f"{path}: {data.shape[1]} channels, expected 1 or 2")
-    if data.ndim not in (1, 2):
-        raise AudioFileError(f"{path}: unsupported sample layout {data.shape}")
-
-    if data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype == np.int16:
-        samples = data.astype(np.float64) / 2 ** 15
-    elif data.dtype == np.int32:
-        # scipy left-justifies 24-bit PCM into int32, so 2^31 is full scale
-        samples = data.astype(np.float64) / 2 ** 31
-    elif data.dtype in (np.float32, np.float64):
-        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
+    if width == 3:
+        # left-justify 24-bit samples into int32, so they scale as 32-bit PCM
+        wide = np.zeros((n * channels, 4), dtype=np.uint8)
+        cols = slice(1, 4) if order == "<" else slice(0, 3)
+        wide[:, cols] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
+        data = wide.view(order + "i4")[:, 0]
     else:
-        raise AudioFileError(f"{path}: unsupported sample type {data.dtype}")
+        kind = "u" if width == 1 else "f" if tag == _FLOAT else "i"
+        data = np.frombuffer(raw, dtype=f"{order}{kind}{width}")
+    if channels == 2:
+        data = data.reshape(n, 2)
+
+    if tag == _FLOAT:
+        bad = data.size - int(np.count_nonzero(np.isfinite(data)))
+        if bad:
+            raise AudioFileError(f"{path}: {bad} non-finite samples")
+        samples = data.astype(np.float64)
+        np.clip(samples, -1.0, 1.0, out=samples)
+    elif width == 1:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    else:
+        samples = data.astype(np.float64) / 2.0 ** (8 * data.itemsize - 1)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)  # after scaling, so the dtype is still known
-
-    if trim_s is not None:
-        if trim_s <= 0:
-            raise ValueError(f"trim_s must be positive, got {trim_s}")
-        n = min(samples.size, int(round(trim_s * rate)))
-        samples = samples[:n]
 
     return SignalBuffer(samples=samples, rate=float(rate), label=path.stem)
 

@@ -204,9 +204,31 @@ def cmd_analyze(args) -> int:
 def _load_report(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a report is a JSON object")
     if data.get("schema") != 1:
         raise ValueError(f"{path}: unsupported report schema {data.get('schema')!r}")
+    missing = [k for k in ("label", "band", "n_bins", "domains", "pearson") if k not in data]
+    if missing:
+        raise ValueError(f"{path}: report has no {', '.join(missing)}")
     return data
+
+
+def _load_reports(paths) -> list[dict]:
+    """Load reports that can be merged: distinct labels, one band and bin count."""
+    reports = [_load_report(p) for p in paths]
+    labels = [rep["label"] for rep in reports]
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate labels across reports")
+    first = reports[0]
+    for rep in reports[1:]:
+        for key in ("band", "n_bins"):
+            if rep[key] != first[key]:
+                raise ValueError(
+                    f"report {rep['label']!r}: {key} {rep[key]} differs from "
+                    f"{first['label']!r} ({key} {first[key]})"
+                )
+    return reports
 
 
 def _profiles_from(reports, domain) -> list[RFormantProfile]:
@@ -231,11 +253,7 @@ def _profiles_from(reports, domain) -> list[RFormantProfile]:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args)
-    reports = [_load_report(p) for p in args.reports]
-    labels = [rep["label"] for rep in reports]
-    if len(set(labels)) != len(labels):
-        print("error: duplicate labels across reports", file=sys.stderr)
-        return 2
+    reports = _load_reports(args.reports)
     if len(reports) < 3:
         print("error: compare needs at least 3 reports", file=sys.stderr)
         return 2
@@ -291,11 +309,7 @@ def cmd_compare(args) -> int:
 
 def cmd_cluster(args) -> int:
     load_config(args)  # a bad --config or $RFORMANT_CONFIG exits 2 here too
-    reports = [_load_report(p) for p in args.reports]
-    labels = [rep["label"] for rep in reports]
-    if len(set(labels)) != len(labels):
-        print("error: duplicate labels across reports", file=sys.stderr)
-        return 2
+    reports = _load_reports(args.reports)
     domain = DOMAIN_FLAGS[args.domain]
     profiles = _profiles_from(reports, domain)
     included = {p.label for p in profiles}

@@ -101,13 +101,17 @@ def long_term_spectrum(series, domain: str, label: str = "") -> LongTermSpectrum
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}")
     values, rate, inherited = _series_values(series, domain)
+    label = label or inherited
     duration = values.size / rate
     if duration < 1.0:
         raise ValueError(f"series of {duration:.3f} s is too short to analyze")
     if duration < 3.0:
+        # naming the clip keeps the warning distinct per clip, so Python's
+        # once-per-location filter does not hide it after the first clip
+        who = f"{label} {domain}" if label else domain
         warnings.warn(
-            f"series of {duration:.3f} s is under 3 s; low-frequency "
-            "resolution will be coarse",
+            f"{who}: series of {duration:.3f} s is under 3 s; "
+            "low-frequency resolution will be coarse",
             stacklevel=2,
         )
     coefs = np.fft.rfft(values - values.mean())
@@ -117,7 +121,7 @@ def long_term_spectrum(series, domain: str, label: str = "") -> LongTermSpectrum
         domain=domain,
         freqs=freqs[1:],
         magnitude=np.abs(coefs[1:]),
-        label=label or inherited,
+        label=label,
     )
 
 
@@ -150,14 +154,3 @@ def normalize_log_detrend(
         label=spec.label,
     )
 
-
-def square_for_display(spec: LongTermSpectrum) -> np.ndarray:
-    """Shifted-and-squared residuals for plotting.
-
-    Squaring exaggerates the contrast between peaks and baseline. Display
-    only: peak picking and statistics always use the raw residuals.
-    """
-    if spec.residual is None:
-        raise ValueError("spectrum has no residual; normalize it first")
-    shifted = spec.residual - spec.residual.min()
-    return shifted * shifted

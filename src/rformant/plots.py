@@ -11,7 +11,7 @@ import numpy as np
 
 from .audio_io import SignalBuffer
 from .demodulation import Track
-from .lts import DOMAINS, LongTermSpectrum, square_for_display
+from .lts import DOMAINS, LongTermSpectrum
 
 PANEL_W = 640
 PANEL_H = 130
@@ -97,9 +97,9 @@ def waveform_panel(sig: SignalBuffer, envelope: Track | None = None) -> Panel:
     return p
 
 
-def spectrum_panel(spec: LongTermSpectrum, bars=None, squared: bool = False) -> Panel:
+def spectrum_panel(spec: LongTermSpectrum, bars=None) -> Panel:
     p = Panel(f"{spec.domain} spectrum: {spec.label}")
-    y = square_for_display(spec) if squared else spec.residual
+    y = spec.residual
     if y is None:
         y = np.log10(spec.magnitude + 1e-12)
     lo, hi = float(spec.freqs[0]), float(spec.freqs[-1])

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import am_tone, write_wav
+import rformant
 from rformant.cli import main
 from rformant.isochrony import npvi, rpvi
 
@@ -297,6 +302,40 @@ def test_compare_non_finite_pearson_exit_2(analyzed, tmp_path, capsys):
     assert not (out / "pearson_summary.csv").exists()
 
 
+@pytest.mark.parametrize("broken, message", [("no_band", "report has no band"),
+                                              ("list", "a report is a JSON object")])
+@pytest.mark.parametrize("command", ["compare", "cluster"])
+def test_malformed_report_exit_2(analyzed, tmp_path, capsys, command, broken, message):
+    rep = json.loads(read(analyzed / "carol_report.json"))
+    del rep["band"]
+    bad = tmp_path / "carol_report.json"
+    bad.write_text(json.dumps(rep if broken == "no_band" else [rep]))
+    reports = [str(analyzed / "alpha_report.json"), str(analyzed / "bravo_report.json"),
+               str(bad)]
+    assert main([command, *reports, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--band", "2:8"], "band [2.0, 8.0]"), (["--bins", "7"], "n_bins 7")],
+    ids=["band", "bins"],
+)
+@pytest.mark.parametrize("command", ["compare", "cluster"])
+def test_mixed_analysis_settings_exit_2(analyzed, clips, tmp_path, capsys, command,
+                                        flags, message):
+    other = tmp_path / "other"
+    assert main(["analyze", str(clips / "carol.wav"), "--out", str(other), *flags]) == 0
+    reports = [str(analyzed / "alpha_report.json"), str(analyzed / "bravo_report.json"),
+               str(other / "carol_report.json")]
+    out = tmp_path / "o"
+    rc = main([command, *reports, "--out", str(out), "--permutations", "99"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: report 'carol': {message} differs from 'alpha'" in err
+    assert not out.exists()
+
+
 def test_cluster_bad_config_exit_2(analyzed, tmp_path, capsys, monkeypatch):
     reports = [str(analyzed / f"{n}_report.json") for n in ("alpha", "bravo", "carol")]
     cfg = tmp_path / "cfg.txt"
@@ -436,3 +475,15 @@ def test_no_arguments_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # every compare and cluster call pays the CLI's import time
+    src = str(Path(rformant.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = ("import sys, rformant.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

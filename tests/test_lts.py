@@ -16,7 +16,6 @@ from rformant.lts import (
     LongTermSpectrum,
     long_term_spectrum,
     normalize_log_detrend,
-    square_for_display,
 )
 
 from conftest import am_tone, sine
@@ -130,24 +129,6 @@ def test_parseval_single_sided_bound():
     sig = SignalBuffer(x, 200.0, "p")
     spec = long_term_spectrum(sig, AMS)
     assert np.sum(spec.magnitude**2) <= (x.size / 2) * np.sum(x * x)
-
-
-def test_square_for_display():
-    f = np.linspace(1.0, 10.0, 10)
-    spec = LongTermSpectrum(
-        domain=AMS,
-        freqs=f[:3],
-        magnitude=np.ones(3),
-        residual=np.array([1.0, -2.0, 1.0]),  # zero line fit
-    )
-    # shift by the minimum (-2) then square
-    assert np.array_equal(square_for_display(spec), [9.0, 0.0, 9.0])
-    zero = LongTermSpectrum(
-        domain=AMS, freqs=f[:3], magnitude=np.ones(3), residual=np.zeros(3)
-    )
-    assert np.array_equal(square_for_display(zero), [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        square_for_display(flat_spectrum(f, np.ones(10)))
 
 
 def test_spectrum_validation():
