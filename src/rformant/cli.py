@@ -211,11 +211,44 @@ def _load_report(path) -> dict:
     missing = [k for k in ("label", "band", "n_bins", "domains", "pearson") if k not in data]
     if missing:
         raise ValueError(f"{path}: report has no {', '.join(missing)}")
+    if not isinstance(data["domains"], dict):
+        raise ValueError(f"{path}: report domains must be a JSON object")
     return data
 
 
+def _domain_profiles(rep) -> dict[str, RFormantProfile]:
+    """Each present domain's profile of one report, checked as it is built."""
+    out = {}
+    for domain in DOMAINS:
+        dom = rep["domains"].get(domain)
+        if dom is None:
+            continue
+        try:
+            if not isinstance(dom, dict) or "present" not in dom:
+                raise ValueError("entry has no 'present' flag")
+            if not dom["present"]:
+                continue
+            if "bins" not in dom:
+                raise ValueError("present but has no bins")
+            out[domain] = RFormantProfile(
+                label=rep["label"],
+                domain=domain,
+                peaks=(),
+                bins=np.asarray(dom["bins"], dtype=np.float64),
+                band=(rep["band"][0], rep["band"][1]),
+                n_bins=rep["n_bins"],
+            )
+        except ValueError as exc:
+            raise ValueError(f"report {rep['label']!r}: {domain}: {exc}") from None
+    return out
+
+
 def _load_reports(paths) -> list[dict]:
-    """Load reports that can be merged: distinct labels, one band and bin count."""
+    """Load reports that can be merged: distinct labels, one band and bin count.
+
+    Every present domain's profile is built here, under ``"profiles"``, so a
+    malformed report stops the command before it writes anything.
+    """
     reports = [_load_report(p) for p in paths]
     labels = [rep["label"] for rep in reports]
     if len(set(labels)) != len(labels):
@@ -228,27 +261,14 @@ def _load_reports(paths) -> list[dict]:
                     f"report {rep['label']!r}: {key} {rep[key]} differs from "
                     f"{first['label']!r} ({key} {first[key]})"
                 )
+    for rep in reports:
+        rep["profiles"] = _domain_profiles(rep)
     return reports
 
 
 def _profiles_from(reports, domain) -> list[RFormantProfile]:
-    out = []
-    for rep in reports:
-        dom = rep["domains"].get(domain)
-        if dom and dom["present"]:
-            try:
-                prof = RFormantProfile(
-                    label=rep["label"],
-                    domain=domain,
-                    peaks=(),
-                    bins=np.asarray(dom["bins"], dtype=np.float64),
-                    band=(rep["band"][0], rep["band"][1]),
-                    n_bins=rep["n_bins"],
-                )
-            except ValueError as exc:
-                raise ValueError(f"report {rep['label']!r}: {domain}: {exc}") from None
-            out.append(prof)
-    return sorted(out, key=lambda p: p.label)
+    profiles = [rep["profiles"][domain] for rep in reports if domain in rep["profiles"]]
+    return sorted(profiles, key=lambda p: p.label)
 
 
 def cmd_compare(args) -> int:

@@ -87,12 +87,14 @@ def envelope_peak_pick(
 
     n_frames = int(np.floor((x.size - 1) / hop)) + 1
     half = win / 2.0
-    out = np.empty(n_frames)
-    for j in range(n_frames):
-        center = j * hop
-        lo = max(0, int(round(center - half)))
-        hi = min(x.size, max(lo + 1, int(round(center + half))))
-        out[j] = x[lo:hi].max()
+    center = np.arange(n_frames) * hop
+    # np.round, like Python's round, takes halves to even
+    lo = np.maximum(0, np.round(center - half).astype(np.int64))
+    hi = np.minimum(x.size, np.maximum(lo + 1, np.round(center + half).astype(np.int64)))
+    # reduceat over [lo0, hi0, lo1, hi1, ...]: even results are max(x[lo:hi]);
+    # the sentinel makes hi == x.size a valid index
+    bounds = np.column_stack((lo, hi)).ravel()
+    out = np.maximum.reduceat(np.append(x, 0.0), bounds)[::2]
     return Track(values=out, rate=1000.0 / hop_ms, kind=ENVELOPE)
 
 

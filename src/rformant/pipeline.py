@@ -100,12 +100,10 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
     series[AEMS] = envelope
 
     # the AMDF costs samples x lags, both proportional to the rate; track F0
-    # on a block-mean copy decimated by the largest integer q that keeps at
-    # least 25 samples per period of f0_max (q = 4 at 44.1/48 kHz, 2 at
-    # 22.05 kHz, 1 at 16 kHz and below), enough for the V-fit of each valley
-    q = max(1, int(sig.rate // (25 * cfg.f0_max_hz)))
+    # on one copy at 20 samples per period of f0_max (8 kHz by default), so
+    # every input rate is tracked on the same band; lower rates stay as they are
     f0 = amdf_f0(
-        resample(sig, sig.rate / q),
+        resample(sig, min(sig.rate, 20 * cfg.f0_max_hz)),
         f0_min=cfg.f0_min_hz,
         f0_max=cfg.f0_max_hz,
         frame_ms=cfg.f0_frame_ms,

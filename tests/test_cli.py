@@ -288,6 +288,45 @@ def test_non_finite_report_bins_exit_2(analyzed, tmp_path, capsys, command):
     assert not (out / "dendrogram.nwk").exists()
 
 
+@pytest.mark.parametrize("broken, message", [
+    ("no_bins", "error: report 'bravo': AEMS: present but has no bins"),
+    ("no_flag", "error: report 'bravo': AEMS: entry has no 'present' flag"),
+    ("list", "report domains must be a JSON object"),
+], ids=["no_bins", "no_flag", "list"])
+@pytest.mark.parametrize("command", ["compare", "cluster"])
+def test_malformed_report_domains_exit_2(analyzed, tmp_path, capsys, command, broken,
+                                         message):
+    rep = json.loads(read(analyzed / "bravo_report.json"))
+    if broken == "no_bins":
+        del rep["domains"]["AEMS"]["bins"]
+    elif broken == "no_flag":
+        del rep["domains"]["AEMS"]["present"]
+    else:
+        rep["domains"] = list(rep["domains"].values())
+    bad = tmp_path / "bravo_broken_report.json"
+    bad.write_text(json.dumps(rep))
+    reports = [str(analyzed / "alpha_report.json"), str(bad),
+               str(analyzed / "carol_report.json")]
+    out = tmp_path / "o"
+    rc = main([command, *reports, "--out", str(out), "--permutations", "99"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_non_finite_bins_writes_nothing(analyzed, tmp_path, capsys):
+    bad = report_with_nan_bin(analyzed, tmp_path, "bravo")
+    reports = [str(analyzed / "alpha_report.json"), bad,
+               str(analyzed / "carol_report.json")]
+    out = tmp_path / "o"
+    rc = main(["compare", *reports, "--out", str(out), "--permutations", "99"])
+    assert rc == 2
+    assert "error: report 'bravo': AMS: bins, peaks and band must be finite" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_compare_non_finite_pearson_exit_2(analyzed, tmp_path, capsys):
     rep = json.loads(read(analyzed / "bravo_report.json"))
     rep["pearson"]["AMS:AEMS"] = float("nan")

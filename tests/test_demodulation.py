@@ -90,6 +90,30 @@ def test_envelope_dominates_window_means():
         assert out.values[j] >= x[lo:hi].mean()
 
 
+def _envelope_reference(x, rate, window_ms, hop_ms):
+    """The peak-picked envelope as one Python loop over the frames."""
+    win = int(round(rate * window_ms / 1000.0))
+    hop = rate * hop_ms / 1000.0
+    n_frames = int(np.floor((x.size - 1) / hop)) + 1
+    half = win / 2.0
+    out = np.empty(n_frames)
+    for j in range(n_frames):
+        center = j * hop
+        lo = max(0, int(round(center - half)))
+        hi = min(x.size, max(lo + 1, int(round(center + half))))
+        out[j] = x[lo:hi].max()
+    return out
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 32000, 44100, 48000])
+@pytest.mark.parametrize("dur_s", [0.05, 0.3217, 1.0, 2.5003])
+def test_envelope_matches_the_frame_loop_exactly(rate, dur_s):
+    x = np.random.default_rng(rate).random(int(round(dur_s * rate)))
+    for window_ms, hop_ms in ((20.0, 5.0), (25.0, 10.0), (7.3, 2.1)):
+        out = envelope_peak_pick(buf(x, float(rate)), window_ms, hop_ms)
+        assert np.array_equal(out.values, _envelope_reference(x, rate, window_ms, hop_ms))
+
+
 def test_envelope_rejects_negative_input():
     with pytest.raises(ValueError):
         envelope_peak_pick(buf(sine(100, 0.1, 1000)), 20, 5)

@@ -102,11 +102,8 @@ def test_fm_branch_errors_are_not_swallowed(monkeypatch):
         analyze_signal(sig)
 
 
-@pytest.mark.parametrize(
-    "rate, f0_rate",
-    [(8000, 8000), (16000, 16000), (22050, 11025), (44100, 11025), (48000, 12000)],
-)
-def test_f0_is_tracked_on_a_decimated_copy(monkeypatch, rate, f0_rate):
+def _f0_rates(monkeypatch, rate, config=None):
+    """Sample rates of the signals handed to amdf_f0 for one analysis."""
     seen, track_f0 = [], pipeline.amdf_f0
 
     def spy(sig, **kwargs):
@@ -115,8 +112,21 @@ def test_f0_is_tracked_on_a_decimated_copy(monkeypatch, rate, f0_rate):
 
     monkeypatch.setattr(pipeline, "amdf_f0", spy)
     x = am_tone(220.0, 4.0, 3.5, rate)
-    analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="am"))
-    assert seen == [f0_rate]
+    analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="am"), config)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "rate, f0_rate",
+    [(8000, 8000), (16000, 8000), (22050, 8000), (44100, 8000), (48000, 8000)],
+)
+def test_f0_is_tracked_on_a_decimated_copy(monkeypatch, rate, f0_rate):
+    assert _f0_rates(monkeypatch, rate) == [f0_rate]
+
+
+def test_f0_copy_rate_follows_f0_max(monkeypatch):
+    # 20 samples per period of f0_max
+    assert _f0_rates(monkeypatch, 16000, AnalysisConfig(f0_max_hz=300.0)) == [6000]
 
 
 # F0 centred where the period is 70.5 samples at 16 kHz: twice the period
@@ -140,6 +150,19 @@ def test_f0_of_a_vibrato_voice_is_rate_invariant(rate):
     assert voiced.mean() >= 0.8
     assert np.median(track.values[voiced]) == pytest.approx(np.median(truth[voiced]), rel=0.01)
     assert np.max(np.abs(track.values[voiced] - truth[voiced])) <= 20.0
+
+
+def test_voicing_of_a_vibrato_voice_is_rate_invariant():
+    # each rate is tracked on the same ~4 kHz band, so the noise floor the
+    # voicing test sees does not depend on the source rate
+    fractions = []
+    for rate in (16000, 22050, 44100, 48000):
+        x = harmonic_voice(_vibrato, rate, 3.0, syllable_hz=6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # 3 s is under the coarse-resolution warning
+            rep = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="v"))
+        fractions.append(float(np.mean(rep.f0_track.values > 0)))
+    assert max(fractions) - min(fractions) <= 0.02, fractions
 
 
 def _ams_4hz_residual(rate):
