@@ -1,0 +1,111 @@
+"""Golden output digests: analyze, compare and cluster stay byte-identical.
+
+A seeded corpus of short clips is generated here, at 8 to 48 kHz in int16,
+int24, float32 and stereo. The CLI runs on it, and the sha256 of every file
+it writes is compared with ``golden/golden.json``. A change that moves
+outputs on purpose rewrites that file with
+
+    PYTHONPATH=src python3 tests/golden/update.py
+
+and its diff then shows exactly which outputs moved.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import am_tone, harmonic_voice, pulse_train, write_wav
+from rformant.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "golden.json"
+DUR_S = 3.5
+METRICS = ("manhattan", "hamming")
+CLUSTER_DOMAINS = ("ams", "aems", "fems")
+
+
+def _voice(rate, f0, syllable_hz, seed):
+    def contour(t):
+        return f0 * (1.0 + 0.12 * np.sin(2 * np.pi * 0.6 * t))
+    return harmonic_voice(contour, rate, DUR_S, syllable_hz=syllable_hz, seed=seed)
+
+
+def _clips():
+    """(name, rate, sample type, float samples; 2-D for stereo) per clip."""
+    v16 = _voice(16000, 140.0, 4.2, 3)
+    v44 = _voice(44100, 210.0, 3.1, 6)
+    return [
+        ("a08_int16", 8000, "int16", _voice(8000, 120.0, 4.0, 1)),
+        ("b08_int24", 8000, "int24", 0.8 * pulse_train(5.0, DUR_S, 8000, carrier_hz=180.0)),
+        ("c16_stereo_int16", 16000, "int16", np.column_stack([v16, 0.5 * v16[::-1]])),
+        ("d22_int24", 22050, "int24", _voice(22050, 180.0, 5.5, 4)),
+        ("e22_float32", 22050, "float32", 0.7 * am_tone(240.0, 3.5, DUR_S, 22050)),
+        ("f44_int16", 44100, "int16", _voice(44100, 100.0, 2.5, 5)),
+        ("g44_stereo_float32", 44100, "float32", np.column_stack([v44, 0.9 * v44])),
+        ("h48_float32", 48000, "float32", _voice(48000, 250.0, 6.0, 7)),
+        ("i16_silence", 16000, "int16", np.zeros(int(DUR_S * 16000))),
+    ]
+
+
+def write_corpus(root: Path) -> list[str]:
+    root.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, rate, dtype, x in _clips():
+        path = root / f"{name}.wav"
+        write_wav(path, rate, x, dtype)
+        paths.append(str(path))
+    return paths
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def output_digests(wavs: list[str], root: Path, jobs: int) -> dict[str, str]:
+    """Run analyze, then compare and cluster over its reports, under ``root``.
+
+    Returns the sha256 of every file written, keyed by its path below
+    ``root``. Every command must exit 0.
+    """
+    analyzed = root / "analyze"
+    assert main(["analyze", *wavs, "--out", str(analyzed), "--jobs", str(jobs)]) == 0
+    reports = sorted(str(p) for p in analyzed.glob("*_report.json"))
+    for metric in METRICS:
+        out = root / f"compare_{metric}"
+        assert main(["compare", *reports, "--out", str(out), "--metric", metric,
+                     "--permutations", "999"]) == 0
+        for domain in CLUSTER_DOMAINS:
+            out = root / f"cluster_{domain}_{metric}"
+            assert main(["cluster", *reports, "--out", str(out), "--metric", metric,
+                         "--domain", domain]) == 0
+    return _digests(root)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return write_corpus(tmp_path_factory.mktemp("golden_wavs"))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_outputs_match_golden_digests(corpus, tmp_path, jobs):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    if golden["numpy"] != np.__version__:
+        pytest.fail(
+            f"golden.json was made with numpy {golden['numpy']}, this is numpy "
+            f"{np.__version__}; rerun tests/golden/update.py and check the diff"
+        )
+    got = output_digests(corpus, tmp_path, jobs)
+    want = golden["files"]
+    moved = sorted(k for k in set(got) & set(want) if got[k] != want[k])
+    missing = sorted(set(want) - set(got))
+    extra = sorted(set(got) - set(want))
+    problems = [f"moved: {k}" for k in moved]
+    problems += [f"not written: {k}" for k in missing]
+    problems += [f"not in golden.json: {k}" for k in extra]
+    assert not problems, f"--jobs {jobs}:\n" + "\n".join(problems)
