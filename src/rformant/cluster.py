@@ -21,25 +21,31 @@ _NEWICK_UNSAFE = set("(),:;'\"\t\n ")
 class Dendrogram:
     """Result of agglomerative clustering over labeled leaves.
 
-    ``merges`` names nodes by concatenated leaf labels for readability;
-    ``links`` carries the same merges with integer node ids (leaves are
-    0..m-1 in label order, merge k creates node m+k).
+    Each link is (left id, right id, distance, size): leaves are 0..m-1 in
+    label order, and merge k creates node m+k.
     """
 
     labels: tuple[str, ...]
-    merges: tuple[tuple[str, str, float, int], ...]
     links: tuple[tuple[int, int, float, int], ...]
 
     def __post_init__(self):
         m = len(self.labels)
-        if len(self.merges) != m - 1 or len(self.links) != m - 1:
+        if len(self.links) != m - 1:
             raise ValueError(f"expected {m - 1} merges for {m} leaves")
-        dists = [d for _, _, d, _ in self.merges]
+        dists = [d for _, _, d, _ in self.links]
         for a, b in zip(dists, dists[1:]):
             if b < a - 1e-9:
                 raise ValueError("merge distances must be nondecreasing")
-        if self.merges and self.merges[-1][3] != m:
+        if self.links and self.links[-1][3] != m:
             raise ValueError("final merge must contain every leaf")
+
+    @property
+    def merges(self) -> tuple[tuple[str, str, float, int], ...]:
+        """The links with each node named by its leaf labels, left child first."""
+        names = list(self.labels)
+        for li, ri, _, _ in self.links:
+            names.append(names[li] + names[ri])
+        return tuple((names[li], names[ri], d, size) for li, ri, d, size in self.links)
 
 
 def upgma(d: DistanceMatrix) -> Dendrogram:
@@ -53,20 +59,17 @@ def upgma(d: DistanceMatrix) -> Dendrogram:
     labels = d.labels
     m = len(labels)
     cur = d.values.copy()
-    names = list(labels)
     sizes = [1] * m
     ids = list(range(m))
-    merges: list[tuple[str, str, float, int]] = []
     links: list[tuple[int, int, float, int]] = []
     next_id = m
     upper = np.triu(np.ones((m, m), dtype=bool), k=1)
 
-    while len(names) > 1:
-        k = len(names)
+    while len(ids) > 1:
+        k = len(ids)
         i, j = divmod(int(np.argmin(np.where(upper[:k, :k], cur, np.inf))), k)
         best_d = cur[i, j]
         size = sizes[i] + sizes[j]
-        merges.append((names[i], names[j], float(best_d), size))
         links.append((ids[i], ids[j], float(best_d), size))
 
         merged_row = (sizes[i] * cur[i, :] + sizes[j] * cur[j, :]) / size
@@ -75,13 +78,12 @@ def upgma(d: DistanceMatrix) -> Dendrogram:
         cur[i, i] = 0.0
         cur = np.delete(np.delete(cur, j, axis=0), j, axis=1)
 
-        names[i] = names[i] + names[j]
         sizes[i] = size
         ids[i] = next_id
-        del names[j], sizes[j], ids[j]
+        del sizes[j], ids[j]
         next_id += 1
 
-    return Dendrogram(labels=labels, merges=tuple(merges), links=tuple(links))
+    return Dendrogram(labels=labels, links=tuple(links))
 
 
 def to_newick(t: Dendrogram) -> str:

@@ -10,9 +10,6 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-_TRUE = {"true", "yes", "on", "1"}
-_FALSE = {"false", "no", "off", "0"}
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -32,9 +29,6 @@ class AnalysisConfig:
     voicing_ratio: float = 0.35
     mantel_permutations: int = 9999
     seed: int = 0
-    # experimental switches; both off reproduces the standard pipeline
-    peak_local_max: bool = False
-    f0_log_hz: bool = False
 
     def __post_init__(self):
         if not self.band_lo_hz < self.band_hi_hz:
@@ -89,13 +83,6 @@ class AnalysisConfig:
 
 def _parse(key, text, type_name, path, lineno):
     try:
-        if type_name == "bool":
-            low = text.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(text)
         if type_name == "int":
             return int(text)
         return float(text)

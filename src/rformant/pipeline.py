@@ -17,7 +17,6 @@ import numpy as np
 from .audio_io import SignalBuffer, load_wav, resample
 from .config import AnalysisConfig
 from .demodulation import (
-    F0_RAW,
     UNVOICED,
     Track,
     amdf_f0,
@@ -28,7 +27,6 @@ from .demodulation import (
 from .lts import AEMS, AMS, DOMAINS, FEMS, LongTermSpectrum, long_term_spectrum, normalize_log_detrend
 from .profiles import (
     RFormantProfile,
-    local_maximum_mask,
     rhythm_bars,
     top_n_frequencies,
     weighted_bins,
@@ -50,9 +48,9 @@ class UtteranceReport:
     profiles: dict[str, RFormantProfile]
     bars: dict[str, list[float]]
     pearson: dict[str, float | None]
-    signal: SignalBuffer | None = None
-    envelope: Track | None = None
-    f0_track: Track | None = None
+    signal: SignalBuffer
+    envelope: Track
+    f0_track: Track
 
     @property
     def fems_absent(self) -> bool:
@@ -84,12 +82,6 @@ class UtteranceReport:
         }
 
 
-def _log_hz(track: Track) -> Track:
-    """Voiced F0 values to log scale; unvoiced markers stay 0."""
-    values = np.where(track.values > 0, np.log(np.maximum(track.values, 1e-12)), 0.0)
-    return Track(values=values, rate=track.rate, kind=F0_RAW)
-
-
 def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> UtteranceReport:
     """Run the full per-clip pipeline on an in-memory signal."""
     cfg = config or AnalysisConfig()
@@ -111,18 +103,13 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         voicing_ratio=cfg.voicing_ratio,
     )
     if np.any(f0.values != UNVOICED):  # no voiced frames: FM branch absent
-        series[FEMS] = continuize_f0(_log_hz(f0) if cfg.f0_log_hz else f0)
+        series[FEMS] = continuize_f0(f0)
 
     spectra, profs, bars = {}, {}, {}
     for domain, s in series.items():
         spec = normalize_log_detrend(long_term_spectrum(s, domain, sig.label), cfg.band)
         spectra[domain] = spec
-        n_peaks = cfg.n_peaks
-        if cfg.peak_local_max:
-            # the restricted candidate pool may be smaller than n_peaks;
-            # taking every local maximum is the best available answer
-            n_peaks = min(n_peaks, int(local_maximum_mask(spec.residual).sum()))
-        peaks = top_n_frequencies(spec, n_peaks, local_maxima=cfg.peak_local_max)
+        peaks = top_n_frequencies(spec, cfg.n_peaks)
         profs[domain] = RFormantProfile(
             label=sig.label,
             domain=domain,

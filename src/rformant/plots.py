@@ -83,33 +83,27 @@ def _decimate(x: np.ndarray, limit: int) -> np.ndarray:
     return x[::step]
 
 
-def waveform_panel(sig: SignalBuffer, envelope: Track | None = None) -> Panel:
+def waveform_panel(sig: SignalBuffer, envelope: Track) -> Panel:
     p = Panel(f"waveform: {sig.label}")
     x = _decimate(sig.samples, 1600)
     t = np.arange(x.size) * (sig.duration / max(1, x.size - 1) if x.size > 1 else 0)
     p.parts.append(_polyline(p.xmap(t, 0, sig.duration), p.ymap(x, -1, 1), "trace"))
-    if envelope is not None:
-        et = envelope.times()
-        p.parts.append(
-            _polyline(p.xmap(et, 0, sig.duration), p.ymap(envelope.values, -1, 1), "over")
-        )
+    et = envelope.times()
+    p.parts.append(
+        _polyline(p.xmap(et, 0, sig.duration), p.ymap(envelope.values, -1, 1), "over")
+    )
     p.xlabel("0 s", f"{sig.duration:.2f} s")
     return p
 
 
-def spectrum_panel(spec: LongTermSpectrum, bars=None) -> Panel:
+def spectrum_panel(spec: LongTermSpectrum, bars) -> Panel:
     p = Panel(f"{spec.domain} spectrum: {spec.label}")
     y = spec.residual
-    if y is None:
-        y = np.log10(spec.magnitude + 1e-12)
     lo, hi = float(spec.freqs[0]), float(spec.freqs[-1])
     ylo, yhi = float(np.min(y)), float(np.max(y))
-    if bars:
-        for f in bars:
-            bx = _n(p.xmap(f, lo, hi))
-            p.parts.append(
-                f'<line class="bar" x1="{bx}" y1="{p.y0}" x2="{bx}" y2="{p.y1}"/>'
-            )
+    for f in bars:
+        bx = _n(p.xmap(f, lo, hi))
+        p.parts.append(f'<line class="bar" x1="{bx}" y1="{p.y0}" x2="{bx}" y2="{p.y1}"/>')
     p.parts.append(_polyline(p.xmap(spec.freqs, lo, hi), p.ymap(y, ylo, yhi), "trace"))
     p.xlabel(f"{lo:g} Hz", f"{hi:g} Hz")
     return p
@@ -157,55 +151,6 @@ def _seg(xs, ys) -> str:
     return _polyline(xs, ys, "trace")
 
 
-def spectrogram_panel(sig: SignalBuffer, frame_ms: float = 25.0, hop_ms: float = 10.0) -> Panel:
-    """Coarse magnitude STFT image. Display only."""
-    p = Panel(f"spectrogram: {sig.label}")
-    n = int(round(sig.rate * frame_ms / 1000.0))
-    hop = int(round(sig.rate * hop_ms / 1000.0))
-    x = sig.samples
-    if x.size < n:
-        return p
-    frames = 1 + (x.size - n) // hop
-    window = np.hanning(n)
-    mags = np.empty((frames, n // 2 + 1))
-    for j in range(frames):
-        seg = x[j * hop : j * hop + n] * window
-        mags[j] = np.abs(np.fft.rfft(seg))
-    # keep it small: cap at 160 time cells and 64 frequency cells
-    mags = _blockmean(mags, 160, axis=0)
-    mags = _blockmean(mags, 64, axis=1)
-    level = np.log10(mags.T + 1e-9)
-    lo, hi = float(level.min()), float(level.max())
-    norm = (level - lo) / (hi - lo) if hi > lo else np.zeros_like(level)
-    rows, cols = norm.shape
-    cw = (p.x1 - p.x0) / cols
-    ch = (p.y1 - p.y0) / rows
-    for r in range(rows):
-        y = p.y1 - (r + 1) * ch  # low frequencies at the bottom
-        for c in range(cols):
-            shade = int(round(255 * (1.0 - norm[r, c])))
-            if shade >= 250:
-                continue  # near-white cells: let the background show
-            color = f"#{shade:02x}{shade:02x}{shade:02x}"
-            p.parts.append(
-                f'<rect x="{_n(p.x0 + c * cw)}" y="{_n(y)}" width="{_n(cw)}" '
-                f'height="{_n(ch)}" fill="{color}"/>'
-            )
-    p.xlabel("0 s", f"{sig.duration:.2f} s")
-    return p
-
-
-def _blockmean(a: np.ndarray, limit: int, axis: int) -> np.ndarray:
-    size = a.shape[axis]
-    if size <= limit:
-        return a
-    k = int(np.ceil(size / limit))
-    n_out = size // k
-    if axis == 0:
-        return a[: n_out * k].reshape(n_out, k, a.shape[1]).mean(axis=1)
-    return a[:, : n_out * k].reshape(a.shape[0], n_out, k).mean(axis=2)
-
-
 def svg_document(panels) -> str:
     height = len(panels) * (PANEL_H + GAP) + GAP
     blocks = []
@@ -235,12 +180,7 @@ def clip_figure(report, config) -> str:
                     f"{domain} R-formant bins: {report.label}",
                 )
             )
-    if report.f0_track is not None:
-        panels.append(
-            f0_panel(report.f0_track, config.f0_min_hz, config.f0_max_hz, report.label)
-        )
-    if report.signal is not None:
-        panels.append(spectrogram_panel(report.signal))
+    panels.append(f0_panel(report.f0_track, config.f0_min_hz, config.f0_max_hz, report.label))
     return svg_document(panels)
 
 

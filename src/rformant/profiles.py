@@ -55,24 +55,13 @@ class RFormantProfile:
             prev = (w, f)
 
 
-def local_maximum_mask(residual: np.ndarray) -> np.ndarray:
-    """True where a sample is at least as large as both neighbors."""
-    keep = np.ones(residual.size, dtype=bool)
-    keep[1:] &= residual[1:] >= residual[:-1]
-    keep[:-1] &= residual[:-1] >= residual[1:]
-    return keep
-
-
-def top_n_frequencies(
-    spec: LongTermSpectrum, n: int, local_maxima: bool = False
-) -> tuple[tuple[float, float], ...]:
+def top_n_frequencies(spec: LongTermSpectrum, n: int) -> tuple[tuple[float, float], ...]:
     """The n band frequencies with the largest detrended residuals.
 
     Plain rank selection over samples; adjacent samples of one broad peak
     can all be selected. Weights are residuals shifted so the band minimum
     is 0. Returned sorted by weight descending, ties by ascending
-    frequency. ``local_maxima=True`` restricts candidates to samples that
-    dominate their neighbors.
+    frequency.
     """
     if spec.residual is None:
         raise ValueError("spectrum has no residual; normalize it first")
@@ -81,9 +70,6 @@ def top_n_frequencies(
     r = spec.residual
     f = spec.freqs
     weights = r - r.min()
-    if local_maxima:
-        keep = local_maximum_mask(r)
-        f, weights = f[keep], weights[keep]
     if n > f.size:
         raise ValueError(f"asked for {n} peaks but only {f.size} candidates")
     order = np.lexsort((f, -weights))[:n]

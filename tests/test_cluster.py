@@ -176,16 +176,8 @@ def test_newick_rejects_unsafe_labels():
 
 def test_dendrogram_validation():
     with pytest.raises(ValueError):
-        Dendrogram(("A", "B"), (), ())
+        Dendrogram(("A", "B"), ())
     with pytest.raises(ValueError):
-        Dendrogram(
-            ("A", "B", "C"),
-            (("A", "B", 5.0, 2), ("AB", "C", 1.0, 3)),
-            ((0, 1, 5.0, 2), (3, 2, 1.0, 3)),
-        )
+        Dendrogram(("A", "B", "C"), ((0, 1, 5.0, 2), (3, 2, 1.0, 3)))
     with pytest.raises(ValueError):
-        Dendrogram(
-            ("A", "B", "C"),
-            (("A", "B", 1.0, 2), ("AB", "C", 2.0, 2)),
-            ((0, 1, 1.0, 2), (3, 2, 2.0, 2)),
-        )
+        Dendrogram(("A", "B", "C"), ((0, 1, 1.0, 2), (3, 2, 2.0, 2)))

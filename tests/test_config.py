@@ -18,8 +18,6 @@ def test_defaults():
     assert cfg.voicing_ratio == 0.35
     assert cfg.mantel_permutations == 9999
     assert cfg.seed == 0
-    assert cfg.peak_local_max is False
-    assert cfg.f0_log_hz is False
 
 
 def test_replace_returns_new_instance():
@@ -55,29 +53,13 @@ def test_from_file_parses_types_and_comments(tmp_path):
         "\n"
         "trim_s = 3.5\n"
         "n_peaks = 4   # fewer peaks\n"
-        "peak_local_max = yes\n"
         "seed = 7\n"
     )
     cfg = AnalysisConfig.from_file(p)
     assert cfg.trim_s == 3.5
     assert cfg.n_peaks == 4
-    assert cfg.peak_local_max is True
     assert cfg.seed == 7
     assert cfg.n_bins == 10  # untouched keys keep defaults
-
-
-@pytest.mark.parametrize("text", ["true", "TRUE", "on", "1", "yes"])
-def test_bool_spellings_true(tmp_path, text):
-    p = tmp_path / "cfg.txt"
-    p.write_text(f"f0_log_hz = {text}\n")
-    assert AnalysisConfig.from_file(p).f0_log_hz is True
-
-
-@pytest.mark.parametrize("text", ["false", "off", "0", "no"])
-def test_bool_spellings_false(tmp_path, text):
-    p = tmp_path / "cfg.txt"
-    p.write_text(f"f0_log_hz = {text}\n")
-    assert AnalysisConfig.from_file(p).f0_log_hz is False
 
 
 def test_unknown_key_rejected_with_location(tmp_path):
@@ -101,10 +83,11 @@ def test_unparseable_value_rejected(tmp_path):
         AnalysisConfig.from_file(p)
 
 
-def test_bad_bool_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["peak_local_max", "f0_log_hz"])
+def test_removed_switches_are_unknown_keys(tmp_path, key):
     p = tmp_path / "cfg.txt"
-    p.write_text("peak_local_max = maybe\n")
-    with pytest.raises(ValueError, match="maybe"):
+    p.write_text(f"{key} = no\n")
+    with pytest.raises(ValueError, match=rf"cfg\.txt:1: unknown key '{key}'"):
         AnalysisConfig.from_file(p)
 
 

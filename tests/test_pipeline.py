@@ -197,15 +197,6 @@ def test_config_controls_peak_and_bin_counts():
             assert 2.0 <= f <= 6.0
 
 
-def test_experimental_switches_run():
-    x = am_tone(220.0, 4.0, 5.0, RATE)
-    sig = SignalBuffer(samples=x, rate=RATE, label="am")
-    rep = analyze_signal(sig, AnalysisConfig(peak_local_max=True, f0_log_hz=True))
-    assert not rep.fems_absent
-    top_f, _ = rep.profiles[AMS].peaks[0]
-    assert top_f == pytest.approx(4.0, abs=0.25)
-
-
 def test_too_short_signal_rejected():
     sig = SignalBuffer(samples=np.zeros(RATE // 2), rate=RATE, label="blip")
     with pytest.raises(ValueError):

@@ -89,21 +89,6 @@ def test_top_n_monotone_superset():
     assert small <= big
 
 
-def test_local_maxima_filter():
-    r = np.array([0.5, -0.25, -0.5, -0.25, 0.5])  # maxima at edges only
-    spec = LongTermSpectrum(
-        domain=AMS,
-        freqs=np.arange(1.0, 6.0),
-        magnitude=np.ones(5),
-        residual=r,
-        band=(1.0, 5.0),
-    )
-    peaks = top_n_frequencies(spec, 2, local_maxima=True)
-    assert [f for f, _ in peaks] == [1.0, 5.0]
-    with pytest.raises(ValueError):
-        top_n_frequencies(spec, 3, local_maxima=True)
-
-
 def test_rhythm_bars_ascending():
     spec = spectrum_from_log_shape(
         np.array([2.0, 4.2, 6.4, 8.6]), [0.1, 0.9, 0.7, 0.4]
