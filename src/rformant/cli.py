@@ -53,6 +53,12 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def _jobs(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file (key = value lines); falls back to $RFORMANT_CONFIG")
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--metric", choices=("manhattan", "hamming"), default="manhattan", help="profile distance (default: %(default)s)")
     common.add_argument("--permutations", type=int, metavar="N", help="Mantel permutation count")
     common.add_argument("--seed", type=int, metavar="N", help="random seed for permutation tests")
-    common.add_argument("--jobs", type=int, default=1, metavar="N", help="clips analyzed concurrently (default: 1)")
+    common.add_argument("--jobs", type=_jobs, default=1, metavar="N", help="clips analyzed concurrently (default: 1)")
     common.add_argument("--domain", choices=sorted(DOMAIN_FLAGS), default="ams", help="domain for combined outputs and clustering (default: %(default)s)")
 
     parser = argparse.ArgumentParser(

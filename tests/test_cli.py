@@ -516,6 +516,16 @@ def test_no_arguments_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "a", "b", "c", "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_does_not_load_scipy():
     # every compare and cluster call pays the CLI's import time
     src = str(Path(rformant.__file__).resolve().parents[1])
