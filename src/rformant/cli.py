@@ -4,8 +4,11 @@ Subcommands: analyze (WAV clips to reports, spectra, bins, and figure
 panels), compare (Pearson and Mantel tables across reports), cluster
 (UPGMA dendrogram over reports), pvi (variability indices from an
 annotation file), calibrate (annotation-predicted vs measured rhythm
-zone). All CSV/JSON output is byte-identical across reruns with the same
-inputs, config, and seed.
+zone). Each subcommand accepts only the flags it reads, so any other flag
+is a usage error. analyze, compare and calibrate read a config file
+(--config, else $RFORMANT_CONFIG); cluster and pvi read none. All
+CSV/JSON output is byte-identical across reruns with the same inputs,
+config, and seed.
 
 Exit codes: 0 success, 1 partial (some clips failed but at least one
 succeeded), 2 usage or input error.
@@ -59,40 +62,49 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="config file (key = value lines); falls back to $RFORMANT_CONFIG")
-    common.add_argument("--out", metavar="DIR", default="rformant_out", help="output directory (default: %(default)s)")
-    common.add_argument("--trim", type=float, metavar="S", help="keep at most S seconds from each clip")
-    common.add_argument("--band", metavar="LO:HI", help="analysis band in Hz, e.g. 1:10")
-    common.add_argument("--peaks", type=int, metavar="N", help="dominant frequencies per spectrum")
-    common.add_argument("--bins", type=int, metavar="N", help="histogram bins over the band")
-    common.add_argument("--metric", choices=("manhattan", "hamming"), default="manhattan", help="profile distance (default: %(default)s)")
-    common.add_argument("--permutations", type=int, metavar="N", help="Mantel permutation count")
-    common.add_argument("--seed", type=int, metavar="N", help="random seed for permutation tests")
-    common.add_argument("--jobs", type=_jobs, default=1, metavar="N", help="clips analyzed concurrently (default: 1)")
-    common.add_argument("--domain", choices=sorted(DOMAIN_FLAGS), default="ams", help="domain for combined outputs and clustering (default: %(default)s)")
+# Each flag's add_argument keywords. A flag that overrides the config
+# stores under the AnalysisConfig field it sets, for load_config.
+_FLAGS = {
+    "--config": dict(metavar="PATH", help="config file (key = value lines); falls back to $RFORMANT_CONFIG"),
+    "--out": dict(metavar="DIR", default="rformant_out", help="output directory (default: %(default)s)"),
+    "--trim": dict(dest="trim_s", type=float, metavar="S", help="keep at most S seconds from each clip"),
+    "--band": dict(metavar="LO:HI", help="analysis band in Hz, e.g. 1:10"),
+    "--peaks": dict(dest="n_peaks", type=int, metavar="N", help="dominant frequencies per spectrum"),
+    "--bins": dict(dest="n_bins", type=int, metavar="N", help="histogram bins over the band"),
+    "--metric": dict(choices=("manhattan", "hamming"), default="manhattan", help="profile distance (default: %(default)s)"),
+    "--permutations": dict(dest="mantel_permutations", type=int, metavar="N", help="Mantel permutation count"),
+    "--seed": dict(type=int, metavar="N", help="random seed for permutation tests"),
+    "--jobs": dict(type=_jobs, default=1, metavar="N", help="clips analyzed concurrently (default: 1)"),
+    "--domain": dict(choices=sorted(DOMAIN_FLAGS), default="ams", help="domain for combined outputs and clustering (default: %(default)s)"),
+    "--unit": dict(choices=("s", "ms"), default="s", help="duration unit for the raw index (default: s)"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rformant",
         description="Low-frequency rhythm spectrum analysis of speech recordings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="analyze WAV clips")
+    def command(name, handler, help_text, flags):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    analysis = "--config --out --trim --band --peaks --bins"
+    p = command("analyze", cmd_analyze, "analyze WAV clips", analysis + " --jobs --domain")
     p.add_argument("wavs", nargs="+", metavar="WAV")
-
-    p = sub.add_parser("compare", parents=[common], help="correlation tables across reports")
+    p = command("compare", cmd_compare, "correlation tables across reports",
+                "--config --out --metric --permutations --seed")
     p.add_argument("reports", nargs="+", metavar="REPORT_JSON")
-
-    p = sub.add_parser("cluster", parents=[common], help="UPGMA dendrogram over reports")
+    p = command("cluster", cmd_cluster, "UPGMA dendrogram over reports", "--out --metric --domain")
     p.add_argument("reports", nargs="+", metavar="REPORT_JSON")
-
-    p = sub.add_parser("pvi", parents=[common], help="variability indices from an annotation CSV")
+    p = command("pvi", cmd_pvi, "variability indices from an annotation CSV", "--out --unit")
     p.add_argument("annotation", metavar="ANNOTATION_CSV")
-    p.add_argument("--unit", choices=("s", "ms"), default="s", help="duration unit for the raw index (default: s)")
-
-    p = sub.add_parser("calibrate", parents=[common], help="predicted vs measured rhythm zone")
+    p = command("calibrate", cmd_calibrate, "predicted vs measured rhythm zone", analysis)
     p.add_argument("wav", metavar="WAV")
     p.add_argument("words", metavar="WORDS_CSV")
     p.add_argument("syllables", metavar="SYLLABLES_CSV")
@@ -102,22 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args) -> AnalysisConfig:
     path = args.config or os.environ.get("RFORMANT_CONFIG")
     cfg = AnalysisConfig.from_file(path) if path else AnalysisConfig()
-    over = {}
-    if args.trim is not None:
-        over["trim_s"] = args.trim
-    if args.band is not None:
-        lo, sep, hi = args.band.partition(":")
-        if not sep:
-            raise ValueError(f"--band expects LO:HI, got {args.band!r}")
-        over["band_lo_hz"], over["band_hi_hz"] = float(lo), float(hi)
-    if args.peaks is not None:
-        over["n_peaks"] = args.peaks
-    if args.bins is not None:
-        over["n_bins"] = args.bins
-    if args.permutations is not None:
-        over["mantel_permutations"] = args.permutations
-    if args.seed is not None:
-        over["seed"] = args.seed
+    over = {k: v for k, v in vars(args).items()
+            if k in AnalysisConfig.__dataclass_fields__ and v is not None}
+    band = getattr(args, "band", None)
+    if band is not None:
+        try:
+            over["band_lo_hz"], over["band_hi_hz"] = map(float, band.split(":"))
+        except ValueError:
+            raise ValueError(f"--band expects LO:HI, got {band!r}") from None
     return cfg.replace(**over) if over else cfg
 
 
@@ -334,7 +338,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    load_config(args)  # a bad --config or $RFORMANT_CONFIG exits 2 here too
     reports = _load_reports(args.reports)
     domain = DOMAIN_FLAGS[args.domain]
     profiles = _profiles_from(reports, domain)
@@ -461,19 +464,10 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": cmd_analyze,
-    "compare": cmd_compare,
-    "cluster": cmd_cluster,
-    "pvi": cmd_pvi,
-    "calibrate": cmd_calibrate,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (AudioFileError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,8 +36,14 @@ class Dendrogram:
         for a, b in zip(dists, dists[1:]):
             if b < a - 1e-9:
                 raise ValueError("merge distances must be nondecreasing")
-        if self.links and self.links[-1][3] != m:
-            raise ValueError("final merge must contain every leaf")
+        # live nodes and their sizes; m - 1 valid merges leave one node of size m
+        sizes = dict.fromkeys(range(m), 1)
+        for k, (li, ri, _, size) in enumerate(self.links):
+            if li == ri or li not in sizes or ri not in sizes:
+                raise ValueError(f"merge {k} must join two distinct unmerged nodes")
+            if size != sizes.pop(li) + sizes.pop(ri):
+                raise ValueError(f"merge {k} size must equal its children's sizes summed")
+            sizes[m + k] = size
 
     @property
     def merges(self) -> tuple[tuple[str, str, float, int], ...]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 
 from conftest import am_tone, write_wav
 import rformant
-from rformant.cli import main
+from rformant.cli import _load_reports, _profiles_from, build_parser, main
 from rformant.isochrony import npvi, rpvi
+from rformant.stats import distance_matrix, mantel
 
 RATE = 8000
 
@@ -145,10 +147,34 @@ def test_cli_band_and_peaks_flags(clips, tmp_path):
 
 
 def test_malformed_band_exit_2(clips, tmp_path, capsys):
-    rc = main(["analyze", str(clips / "alpha.wav"), "--out", str(tmp_path / "o"),
-               "--band", "5"])
-    assert rc == 2
-    assert "LO:HI" in capsys.readouterr().err
+    for band in ("5", "2:x", "1:2:3"):
+        rc = main(["analyze", str(clips / "alpha.wav"), "--out", str(tmp_path / "o"),
+                   "--band", band])
+        assert rc == 2
+        assert f"error: --band expects LO:HI, got {band!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_trim_flag_limits_duration(clips, tmp_path):
+    # 1.5 s, not 1 s: the FEMS series of a 1 s clip is under the 1 s minimum
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="under 3 s"):
+        assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1.5"]) == 0
+    assert json.loads(read(out / "alpha_report.json"))["duration_s"] == 1.5
+
+
+def test_domain_flag_selects_combined_bins(analyzed, clips, tmp_path):
+    out = tmp_path / "out"
+    wavs = [str(clips / f"{n}.wav") for n in ("alpha", "bravo", "carol", "quiet")]
+    assert main(["analyze", *wavs, "--out", str(out), "--domain", "aems"]) == 0
+    rows = read(out / "combined_bins.csv").decode().splitlines()[1:]
+    expected = []
+    for name in ("alpha", "bravo", "carol", "quiet"):
+        aems = json.loads(read(out / f"{name}_report.json"))["domains"]["AEMS"]
+        if aems["present"]:
+            expected.append([name, *aems["bins"]])
+    assert [[r.split(",")[0], *map(float, r.split(",")[1:])] for r in rows] == expected
+    assert read(out / "combined_bins.csv") != read(analyzed / "combined_bins.csv")
 
 
 def test_config_file_and_flag_precedence(clips, tmp_path):
@@ -201,6 +227,25 @@ def test_compare_writes_both_tables(analyzed, tmp_path, capsys):
         assert -1.0 <= float(r) <= 1.0
         assert 0.0 < float(p) <= 1.0
         assert sig in ("**", "*", "ns")
+
+
+def test_compare_seed_and_permutations_reach_mantel(analyzed, tmp_path):
+    reports = [str(analyzed / f"{n}_report.json")
+               for n in ("alpha", "bravo", "carol", "quiet")]
+    out = tmp_path / "cmp"
+    assert main(["compare", *reports, "--out", str(out),
+                 "--seed", "3", "--permutations", "99"]) == 0
+    rows = read(out / "mantel.csv").decode().splitlines()[1:]
+    assert rows
+    loaded = _load_reports(reports)
+    for row in rows:
+        pair, _, p, _ = row.split(",")
+        da, db = pair.split(":")
+        pa, pb = _profiles_from(loaded, da), _profiles_from(loaded, db)
+        shared = {x.label for x in pa} & {x.label for x in pb}
+        ma = distance_matrix([x for x in pa if x.label in shared])
+        mb = distance_matrix([x for x in pb if x.label in shared])
+        assert float(p) == mantel(ma, mb, 99, 3)["p"], pair
 
 
 def test_compare_too_few_reports_exit_2(analyzed, tmp_path):
@@ -264,6 +309,11 @@ def test_cluster_hamming_metric(analyzed, tmp_path):
     assert all(v == int(v) for v in cells)  # hamming counts are whole numbers
 
 
+def permutations(command):
+    """A short Mantel run for compare; cluster has no --permutations flag."""
+    return ["--permutations", "99"] if command == "compare" else []
+
+
 def report_with_nan_bin(analyzed, tmp_path, name):
     """A copy of a report whose JSON carries a NaN bin, as json.dump writes it."""
     rep = json.loads(read(analyzed / f"{name}_report.json"))
@@ -280,7 +330,7 @@ def test_non_finite_report_bins_exit_2(analyzed, tmp_path, capsys, command):
     reports = [str(analyzed / "alpha_report.json"), bad,
                str(analyzed / "carol_report.json")]
     out = tmp_path / "o"
-    rc = main([command, *reports, "--out", str(out), "--permutations", "99"])
+    rc = main([command, *reports, "--out", str(out), *permutations(command)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "'bravo'" in err and "finite" in err
@@ -308,7 +358,7 @@ def test_malformed_report_domains_exit_2(analyzed, tmp_path, capsys, command, br
     reports = [str(analyzed / "alpha_report.json"), str(bad),
                str(analyzed / "carol_report.json")]
     out = tmp_path / "o"
-    rc = main([command, *reports, "--out", str(out), "--permutations", "99"])
+    rc = main([command, *reports, "--out", str(out), *permutations(command)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -368,23 +418,22 @@ def test_mixed_analysis_settings_exit_2(analyzed, clips, tmp_path, capsys, comma
     reports = [str(analyzed / "alpha_report.json"), str(analyzed / "bravo_report.json"),
                str(other / "carol_report.json")]
     out = tmp_path / "o"
-    rc = main([command, *reports, "--out", str(out), "--permutations", "99"])
+    rc = main([command, *reports, "--out", str(out), *permutations(command)])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: report 'carol': {message} differs from 'alpha'" in err
     assert not out.exists()
 
 
-def test_cluster_bad_config_exit_2(analyzed, tmp_path, capsys, monkeypatch):
-    reports = [str(analyzed / f"{n}_report.json") for n in ("alpha", "bravo", "carol")]
+def test_cluster_and_pvi_read_no_config(analyzed, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("no_such_key = 1\n")
-    rc = main(["cluster", *reports, "--out", str(tmp_path / "o"), "--config", str(cfg)])
-    assert rc == 2
-    assert "no_such_key" in capsys.readouterr().err
     monkeypatch.setenv("RFORMANT_CONFIG", str(cfg))
-    assert main(["cluster", *reports, "--out", str(tmp_path / "o2")]) == 2
-    assert not (tmp_path / "o2").exists()
+    reports = [str(analyzed / f"{n}_report.json") for n in ("alpha", "bravo", "carol")]
+    assert main(["cluster", *reports, "--out", str(tmp_path / "o")]) == 0
+    ann = tmp_path / "a.csv"
+    ann.write_text("0.0,0.2,a\n0.2,0.6,b\n0.6,0.7,c\n")
+    assert main(["pvi", str(ann), "--out", str(tmp_path / "p")]) == 0
 
 
 # ---- pvi ----
@@ -516,7 +565,7 @@ def test_no_arguments_exits_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("command", ["analyze"])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
     with pytest.raises(SystemExit) as exc:
@@ -524,6 +573,47 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, command, jobs):
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# the flags each subcommand reads; every other flag is an argparse error
+READS = {
+    "analyze": {"--config", "--out", "--trim", "--band", "--peaks", "--bins", "--jobs",
+                "--domain"},
+    "compare": {"--config", "--out", "--metric", "--permutations", "--seed"},
+    "cluster": {"--out", "--metric", "--domain"},
+    "pvi": {"--out", "--unit"},
+    "calibrate": {"--config", "--out", "--trim", "--band", "--peaks", "--bins"},
+}
+# a value each flag accepts, so that only the flag itself can be refused
+FLAG_VALUES = {
+    "--config": "/nonexistent", "--out": "o", "--trim": "1", "--band": "2:8",
+    "--peaks": "3", "--bins": "5", "--metric": "hamming", "--permutations": "99",
+    "--seed": "7", "--jobs": "2", "--domain": "aems", "--unit": "ms",
+}
+POSITIONALS = {"analyze": ["a.wav"], "compare": ["a", "b", "c"], "cluster": ["a", "b"],
+               "pvi": ["a.csv"], "calibrate": ["a.wav", "w.csv", "s.csv"]}
+
+
+def test_parser_flags_match_table():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(READS)
+    for command, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == READS[command], command
+    assert set(FLAG_VALUES) == set().union(*READS.values())
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c in READS for f in FLAG_VALUES if f not in READS[c]
+])
+def test_unread_flag_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *POSITIONALS[command], "--out", str(out), flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_does_not_load_scipy():

@@ -181,3 +181,10 @@ def test_dendrogram_validation():
         Dendrogram(("A", "B", "C"), ((0, 1, 5.0, 2), (3, 2, 1.0, 3)))
     with pytest.raises(ValueError):
         Dendrogram(("A", "B", "C"), ((0, 1, 1.0, 2), (3, 2, 2.0, 2)))
+    # to_newick would drop or repeat leaves for the first two
+    with pytest.raises(ValueError, match="merge 1 must join two distinct unmerged"):
+        Dendrogram(("A", "B", "C"), ((0, 1, 1.0, 2), (0, 2, 2.0, 3)))
+    with pytest.raises(ValueError, match="merge 0 must join two distinct unmerged"):
+        Dendrogram(("A", "B", "C"), ((0, 0, 1.0, 2), (3, 2, 2.0, 3)))
+    with pytest.raises(ValueError, match="merge 0 size"):
+        Dendrogram(("A", "B", "C"), ((0, 1, 1.0, 3), (3, 2, 2.0, 3)))
