@@ -46,7 +46,6 @@ from .stats import (
     DistanceMatrix,
     correlation_summary,
     distance_matrix,
-    hamming_distance,
     mantel,
     pearson_r,
     significance_code,
@@ -78,7 +77,6 @@ __all__ = [
     "correlation_summary",
     "distance_matrix",
     "envelope_peak_pick",
-    "hamming_distance",
     "load_wav",
     "long_term_spectrum",
     "manhattan",

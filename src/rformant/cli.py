@@ -23,8 +23,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .audio_io import AudioFileError
 from .cluster import to_newick, upgma
 from .config import AnalysisConfig
@@ -38,18 +36,16 @@ from .isochrony import (
     rpvi,
     wagner_pairs,
 )
-from .lts import AEMS, AMS, DOMAINS, FEMS
+from .lts import AEMS, AMS, FEMS
 from .pipeline import PAIRS, analyze_clip
 from .plots import clip_figure, dendrogram_figure
-from .profiles import RFormantProfile
+from .report import _num, check_mergeable, to_json
+# the benchmark (perfbench/spans.py) times _spectra_csv, _bins_csv, _write and
+# _load_report by wrapping them here, so cli calls them by these names
+from .report import bins_csv as _bins_csv, load as _load_report, spectra_csv as _spectra_csv
 from .stats import correlation_summary, distance_matrix, mantel, significance_code
 
 DOMAIN_FLAGS = {"ams": AMS, "aems": AEMS, "fems": FEMS}
-
-
-def _num(x) -> str:
-    """Full-precision, locale-independent numeric cell."""
-    return repr(float(x))
 
 
 def _write(path: Path, text: str) -> None:
@@ -89,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_text, flags):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, usage_error=p.error)
         for flag in flags.split():
             p.add_argument(flag, **_FLAGS[flag])
         return p
@@ -128,28 +124,6 @@ def load_config(args) -> AnalysisConfig:
 # ---- analyze ----
 
 
-def _spectra_csv(report) -> str:
-    lines = ["domain,freq_hz,magnitude,residual"]
-    for domain in DOMAINS:
-        spec = report.spectra.get(domain)
-        if spec is None:
-            continue
-        for f, m, r in zip(spec.freqs, spec.magnitude, spec.residual):
-            lines.append(f"{domain},{_num(f)},{_num(m)},{_num(r)}")
-    return "\n".join(lines) + "\n"
-
-
-def _bins_csv(report) -> str:
-    head = "domain," + ",".join(f"bin_{i}" for i in range(report.n_bins))
-    lines = [head]
-    for domain in DOMAINS:
-        prof = report.profiles.get(domain)
-        if prof is None:
-            continue
-        lines.append(domain + "," + ",".join(_num(b) for b in prof.bins))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_analyze(args) -> int:
     cfg = load_config(args)
     out = Path(args.out)
@@ -169,33 +143,27 @@ def cmd_analyze(args) -> int:
 
     for i, path in enumerate(paths):
         try:
-            rep = futures[i].result() if futures else run(path)
-            reports.append(rep)
+            reports.append(futures[i].result() if futures else run(path))
         except (AudioFileError, ValueError) as exc:
             failures.append((path, exc))
 
     reports.sort(key=lambda r: r.label)
-    labels = [r.label for r in reports]
-    if len(set(labels)) != len(labels):
+    if len({r.label for r in reports}) != len(reports):
         print("error: duplicate clip labels in batch", file=sys.stderr)
         return 2
 
+    columns = [f"bin_{i}" for i in range(cfg.n_bins)]
     for rep in reports:
-        _write(out / f"{rep.label}_report.json",
-               json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write(out / f"{rep.label}_report.json", to_json(rep))
         _write(out / f"{rep.label}_spectra.csv", _spectra_csv(rep))
-        _write(out / f"{rep.label}_bins.csv", _bins_csv(rep))
+        _write(out / f"{rep.label}_bins.csv",
+               _bins_csv([(d, p.bins) for d, p in rep.profiles.items()], columns))
         _write(out / f"{rep.label}_panels.svg", clip_figure(rep, cfg))
 
     domain = DOMAIN_FLAGS[args.domain]
-    head = "label," + ",".join(f"bin_{i}" for i in range(cfg.n_bins))
-    rows = [head]
-    for rep in reports:
-        prof = rep.profiles.get(domain)
-        if prof is not None:
-            rows.append(rep.label + "," + ",".join(_num(b) for b in prof.bins))
     if reports:
-        _write(out / "combined_bins.csv", "\n".join(rows) + "\n")
+        rows = [(r.label, r.profiles[domain].bins) for r in reports if domain in r.profiles]
+        _write(out / "combined_bins.csv", _bins_csv(rows, columns, key="label"))
 
     for rep in reports:
         note = " [FEMS absent]" if rep.fems_absent else ""
@@ -211,74 +179,11 @@ def cmd_analyze(args) -> int:
 # ---- compare / cluster ----
 
 
-def _load_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a report is a JSON object")
-    if data.get("schema") != 1:
-        raise ValueError(f"{path}: unsupported report schema {data.get('schema')!r}")
-    missing = [k for k in ("label", "band", "n_bins", "domains", "pearson") if k not in data]
-    if missing:
-        raise ValueError(f"{path}: report has no {', '.join(missing)}")
-    if not isinstance(data["domains"], dict):
-        raise ValueError(f"{path}: report domains must be a JSON object")
-    return data
-
-
-def _domain_profiles(rep) -> dict[str, RFormantProfile]:
-    """Each present domain's profile of one report, checked as it is built."""
-    out = {}
-    for domain in DOMAINS:
-        dom = rep["domains"].get(domain)
-        if dom is None:
-            continue
-        try:
-            if not isinstance(dom, dict) or "present" not in dom:
-                raise ValueError("entry has no 'present' flag")
-            if not dom["present"]:
-                continue
-            if "bins" not in dom:
-                raise ValueError("present but has no bins")
-            out[domain] = RFormantProfile(
-                label=rep["label"],
-                domain=domain,
-                peaks=(),
-                bins=np.asarray(dom["bins"], dtype=np.float64),
-                band=(rep["band"][0], rep["band"][1]),
-                n_bins=rep["n_bins"],
-            )
-        except ValueError as exc:
-            raise ValueError(f"report {rep['label']!r}: {domain}: {exc}") from None
-    return out
-
-
-def _load_reports(paths) -> list[dict]:
-    """Load reports that can be merged: distinct labels, one band and bin count.
-
-    Every present domain's profile is built here, under ``"profiles"``, so a
-    malformed report stops the command before it writes anything.
-    """
-    reports = [_load_report(p) for p in paths]
-    labels = [rep["label"] for rep in reports]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate labels across reports")
-    first = reports[0]
-    for rep in reports[1:]:
-        for key in ("band", "n_bins"):
-            if rep[key] != first[key]:
-                raise ValueError(
-                    f"report {rep['label']!r}: {key} {rep[key]} differs from "
-                    f"{first['label']!r} ({key} {first[key]})"
-                )
-    for rep in reports:
-        rep["profiles"] = _domain_profiles(rep)
+def _load_reports(paths) -> list:
+    """Every report loaded and checked, sorted by label, before anything is written."""
+    reports = sorted(map(_load_report, paths), key=lambda rep: rep.label)
+    check_mergeable(reports)
     return reports
-
-
-def _profiles_from(reports, domain) -> list[RFormantProfile]:
-    profiles = [rep["profiles"][domain] for rep in reports if domain in rep["profiles"]]
-    return sorted(profiles, key=lambda p: p.label)
 
 
 def cmd_compare(args) -> int:
@@ -287,20 +192,12 @@ def cmd_compare(args) -> int:
     if len(reports) < 3:
         print("error: compare needs at least 3 reports", file=sys.stderr)
         return 2
-    for rep in reports:
-        for pair, r in rep["pearson"].items():
-            if r is not None and not np.isfinite(r):
-                raise ValueError(f"report {rep['label']!r}: pearson {pair} must be finite")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     lines = ["pair,mean_r,min_label,min_r,max_label,max_r"]
     for pair in PAIRS:
-        values = {
-            rep["label"]: rep["pearson"][pair]
-            for rep in reports
-            if rep["pearson"].get(pair) is not None
-        }
+        values = {r.label: r.pearson[pair] for r in reports if r.pearson[pair] is not None}
         if not values:
             continue
         s = correlation_summary(values, pair)
@@ -313,16 +210,14 @@ def cmd_compare(args) -> int:
     lines = ["pair,r,p,significance"]
     for pair in PAIRS:
         da, db = pair.split(":")
-        pa = {p.label: p for p in _profiles_from(reports, da)}
-        pb = {p.label: p for p in _profiles_from(reports, db)}
-        shared = sorted(set(pa) & set(pb))
+        shared = [rep for rep in reports if da in rep.profiles and db in rep.profiles]
         if len(shared) < 3:
             print(f"note: {pair}: fewer than 3 utterances share both domains; skipped",
                   file=sys.stderr)
             continue
         try:
-            ma = distance_matrix([pa[l] for l in shared], args.metric)
-            mb = distance_matrix([pb[l] for l in shared], args.metric)
+            ma = distance_matrix([rep.profiles[da] for rep in shared], args.metric)
+            mb = distance_matrix([rep.profiles[db] for rep in shared], args.metric)
             result = mantel(ma, mb, cfg.mantel_permutations, cfg.seed)
         except ValueError as exc:
             print(f"note: {pair}: {exc}; skipped", file=sys.stderr)
@@ -340,12 +235,10 @@ def cmd_compare(args) -> int:
 def cmd_cluster(args) -> int:
     reports = _load_reports(args.reports)
     domain = DOMAIN_FLAGS[args.domain]
-    profiles = _profiles_from(reports, domain)
-    included = {p.label for p in profiles}
+    profiles = [rep.profiles[domain] for rep in reports if domain in rep.profiles]
     for rep in reports:
-        if rep["label"] not in included:
-            print(f"warning: {rep['label']}: no {domain} profile; excluded",
-                  file=sys.stderr)
+        if domain not in rep.profiles:
+            print(f"warning: {rep.label}: no {domain} profile; excluded", file=sys.stderr)
     if len(profiles) < 2:
         print(f"error: need at least 2 reports with a {domain} profile",
               file=sys.stderr)
@@ -356,16 +249,13 @@ def cmd_cluster(args) -> int:
     dm = distance_matrix(profiles, args.metric)
     tree = upgma(dm)
 
-    lines = ["label," + ",".join(dm.labels)]
-    for i, label in enumerate(dm.labels):
-        lines.append(label + "," + ",".join(_num(v) for v in dm.values[i]))
-    _write(out / "distance_matrix.csv", "\n".join(lines) + "\n")
+    _write(out / "distance_matrix.csv",
+           _bins_csv(zip(dm.labels, dm.values), dm.labels, key="label"))
 
     newick = to_newick(tree)
     _write(out / "dendrogram.nwk", newick + "\n")
-    band = profiles[0].band
-    bins_by_label = {p.label: p.bins for p in profiles}
-    _write(out / "dendrogram.svg", dendrogram_figure(tree, bins_by_label, band))
+    _write(out / "dendrogram.svg",
+           dendrogram_figure(tree, {p.label: p.bins for p in profiles}, profiles[0].band))
     print(newick)
     return 0
 
@@ -465,7 +355,9 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # refused by the subcommand's own parser, so its usage is shown
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
     except (AudioFileError, OSError, ValueError, json.JSONDecodeError) as exc:

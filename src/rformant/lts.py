@@ -25,6 +25,7 @@ FEMS = "FEMS"
 DOMAINS = (AMS, AEMS, FEMS)
 
 LOG_FLOOR = 1e-12
+MIN_SERIES_S = 1.0  # shortest series with a spectrum to analyze
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def long_term_spectrum(series, domain: str, label: str = "") -> LongTermSpectrum
     values, rate, inherited = _series_values(series, domain)
     label = label or inherited
     duration = values.size / rate
-    if duration < 1.0:
+    if duration < MIN_SERIES_S:
         raise ValueError(f"series of {duration:.3f} s is too short to analyze")
     if duration < 3.0:
         # naming the clip keeps the warning distinct per clip, so Python's

@@ -4,12 +4,13 @@ Chains the stages in the canonical order: load and trim, rectify, three
 demodulation branches (decimated rectified signal, peak-picked envelope,
 continuized F0), a long-term spectrum per branch, detrending over the
 analysis band, and R-formant profile extraction. An utterance with no
-voiced frames simply has no FM branch; the report marks FEMS absent
-rather than failing.
+voiced frames, or with an F0 track under MIN_SERIES_S, has no FM branch;
+the report marks FEMS absent rather than failing.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .demodulation import (
     envelope_peak_pick,
     rectify,
 )
-from .lts import AEMS, AMS, DOMAINS, FEMS, LongTermSpectrum, long_term_spectrum, normalize_log_detrend
+from .lts import AEMS, AMS, FEMS, MIN_SERIES_S, LongTermSpectrum, long_term_spectrum, normalize_log_detrend
 from .profiles import (
     RFormantProfile,
     rhythm_bars,
@@ -56,38 +57,13 @@ class UtteranceReport:
     def fems_absent(self) -> bool:
         return FEMS not in self.profiles
 
-    def to_json_dict(self) -> dict:
-        domains = {}
-        for domain in DOMAINS:
-            if domain not in self.profiles:
-                domains[domain] = {"present": False}
-                continue
-            prof = self.profiles[domain]
-            spec = self.spectra[domain]
-            domains[domain] = {
-                "present": True,
-                "delta_f": spec.delta_f,
-                "peaks": [[f, w] for f, w in prof.peaks],
-                "bars": list(self.bars[domain]),
-                "bins": [float(b) for b in prof.bins],
-            }
-        return {
-            "schema": 1,
-            "label": self.label,
-            "duration_s": self.duration_s,
-            "band": [self.band[0], self.band[1]],
-            "n_bins": self.n_bins,
-            "domains": domains,
-            "pearson": dict(self.pearson),
-        }
-
 
 def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> UtteranceReport:
     """Run the full per-clip pipeline on an in-memory signal."""
     cfg = config or AnalysisConfig()
     rect = rectify(sig)
 
-    series = {AMS: resample(rect, cfg.resample_hz)}
+    series = {AMS: resample(rect, cfg.resample_hz)}  # kept in DOMAINS order
     envelope = envelope_peak_pick(rect, cfg.envelope_window_ms, cfg.envelope_hop_ms)
     series[AEMS] = envelope
 
@@ -103,7 +79,12 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         voicing_ratio=cfg.voicing_ratio,
     )
     if np.any(f0.values != UNVOICED):  # no voiced frames: FM branch absent
-        series[FEMS] = continuize_f0(f0)
+        f0_s = f0.values.size / f0.rate  # F0 framing drops a clip's last partial frame
+        if f0_s >= MIN_SERIES_S:
+            series[FEMS] = continuize_f0(f0)
+        else:
+            warnings.warn(f"{sig.label} FEMS: F0 track of {f0_s:.3f} s is under "
+                          f"{MIN_SERIES_S:g} s; FEMS absent", stacklevel=2)
 
     spectra, profs, bars = {}, {}, {}
     for domain, s in series.items():

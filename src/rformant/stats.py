@@ -64,19 +64,6 @@ def pearson_r(x, y) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def hamming_distance(a, b) -> int:
-    """Count of bins that differ after rounding to 2 decimal places.
-
-    The coarse quantization is deliberate: it asks only whether two
-    profiles put visibly different mass in a bin.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise ValueError("inputs must be equal-length 1-D vectors")
-    return int(np.sum(np.round(va, 2) != np.round(vb, 2)))
-
-
 _METRICS = ("hamming", "manhattan")
 
 

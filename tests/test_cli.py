@@ -11,7 +11,7 @@ import pytest
 
 from conftest import am_tone, write_wav
 import rformant
-from rformant.cli import _load_reports, _profiles_from, build_parser, main
+from rformant.cli import _load_reports, build_parser, main
 from rformant.isochrony import npvi, rpvi
 from rformant.stats import distance_matrix, mantel
 
@@ -156,11 +156,21 @@ def test_malformed_band_exit_2(clips, tmp_path, capsys):
 
 
 def test_trim_flag_limits_duration(clips, tmp_path):
-    # 1.5 s, not 1 s: the FEMS series of a 1 s clip is under the 1 s minimum
     out = tmp_path / "out"
     with pytest.warns(UserWarning, match="under 3 s"):
         assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1.5"]) == 0
     assert json.loads(read(out / "alpha_report.json"))["duration_s"] == 1.5
+
+
+def test_one_second_voiced_clip_drops_only_fems(clips, tmp_path, capsys):
+    # the F0 track of a 1 s clip is 0.97 s long, under the 1 s spectrum minimum
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="alpha FEMS: F0 track of 0.9[0-9]+ s is under 1 s"):
+        assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1"]) == 0
+    domains = json.loads(read(out / "alpha_report.json"))["domains"]
+    assert domains["AMS"]["present"] and domains["AEMS"]["present"]
+    assert domains["FEMS"] == {"present": False}
+    assert "alpha: 1.00 s [FEMS absent]" in capsys.readouterr().out
 
 
 def test_domain_flag_selects_combined_bins(analyzed, clips, tmp_path):
@@ -241,10 +251,9 @@ def test_compare_seed_and_permutations_reach_mantel(analyzed, tmp_path):
     for row in rows:
         pair, _, p, _ = row.split(",")
         da, db = pair.split(":")
-        pa, pb = _profiles_from(loaded, da), _profiles_from(loaded, db)
-        shared = {x.label for x in pa} & {x.label for x in pb}
-        ma = distance_matrix([x for x in pa if x.label in shared])
-        mb = distance_matrix([x for x in pb if x.label in shared])
+        shared = [r for r in loaded if da in r.profiles and db in r.profiles]
+        ma = distance_matrix([r.profiles[da] for r in shared])
+        mb = distance_matrix([r.profiles[db] for r in shared])
         assert float(p) == mantel(ma, mb, 99, 3)["p"], pair
 
 
@@ -612,7 +621,9 @@ def test_unread_flag_exits_2(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, *POSITIONALS[command], "--out", str(out), flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: rformant {command} ")
+    assert f"unrecognized arguments: {flag} " in err
     assert not out.exists()
 
 

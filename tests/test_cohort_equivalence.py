@@ -15,12 +15,16 @@ from rformant.profiles import RFormantProfile
 from rformant.stats import (
     DistanceMatrix,
     distance_matrix,
-    hamming_distance,
     mantel,
     pearson_r,
 )
 
 # ---- loop references ----
+
+
+def hamming_distance(a, b) -> int:
+    """Count of bins that differ after rounding to 2 decimal places."""
+    return int(np.sum(np.round(a, 2) != np.round(b, 2)))
 
 
 def loop_distance_matrix(profiles, metric):

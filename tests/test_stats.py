@@ -7,7 +7,6 @@ from rformant.stats import (
     DistanceMatrix,
     correlation_summary,
     distance_matrix,
-    hamming_distance,
     mantel,
     pearson_r,
     significance_code,
@@ -66,16 +65,21 @@ def test_pearson_rejects_degenerate():
 # ---- hamming ----
 
 
+def hamming(a, b) -> float:
+    """The hamming distance_matrix entry between two profiles' bins."""
+    return distance_matrix([make_profile("a", a), make_profile("b", b)], "hamming").values[0, 1]
+
+
 def test_hamming_basic():
-    assert hamming_distance([1, 0, 0], [1, 0, 0]) == 0
-    assert hamming_distance([1, 0, 0], [0, 1, 0]) == 2
+    assert hamming([1, 0, 0], [1, 0, 0]) == 0
+    assert hamming([1, 0, 0], [0, 1, 0]) == 2
     with pytest.raises(ValueError):
-        hamming_distance([1, 0], [1, 0, 0])
+        distance_matrix([make_profile("a", [1, 0]), make_profile("b", [1, 0, 0])], "hamming")
 
 
 def test_hamming_quantizes_to_two_decimals():
-    assert hamming_distance([0.851, 0.149], [0.854, 0.146]) == 0
-    assert hamming_distance([0.851, 0.149], [0.86, 0.14]) == 2
+    assert hamming([0.851, 0.149], [0.854, 0.146]) == 0
+    assert hamming([0.851, 0.149], [0.86, 0.14]) == 2
 
 
 # ---- distance_matrix ----
