@@ -14,7 +14,6 @@ from .config import AnalysisConfig
 from .demodulation import Track, amdf_f0, continuize_f0, envelope_peak_pick, rectify
 from .isochrony import (
     AnnotationTier,
-    DurationVector,
     canberra,
     manhattan,
     npvi,
@@ -34,14 +33,8 @@ from .lts import (
     long_term_spectrum,
     normalize_log_detrend,
 )
-from .pipeline import UtteranceReport, analyze_clip, analyze_signal
-from .profiles import (
-    RFormantProfile,
-    profile,
-    rhythm_bars,
-    top_n_frequencies,
-    weighted_bins,
-)
+from .pipeline import UtteranceReport, analyze_clip, analyze_signal, profile
+from .profiles import RFormantProfile, rhythm_bars, top_n_frequencies, weighted_bins
 from .stats import (
     DistanceMatrix,
     correlation_summary,
@@ -60,7 +53,6 @@ __all__ = [
     "DOMAINS",
     "Dendrogram",
     "DistanceMatrix",
-    "DurationVector",
     "FEMS",
     "LongTermSpectrum",
     "RFormantProfile",

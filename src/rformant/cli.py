@@ -27,8 +27,6 @@ from .audio_io import AudioFileError
 from .cluster import to_newick, upgma
 from .config import AnalysisConfig
 from .isochrony import (
-    AnnotationTier,
-    PAUSE_LABELS,
     npvi,
     predict_formant_range,
     rates_from_annotation,
@@ -126,52 +124,47 @@ def load_config(args) -> AnalysisConfig:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = list(args.wavs)
-
-    def run(path):
-        # short-clip warnings go to stderr; output files are unaffected
-        return analyze_clip(path, cfg)
-
-    reports, failures = [], []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run, p) for p in paths]
-    else:
-        futures = None
-
-    for i, path in enumerate(paths):
-        try:
-            reports.append(futures[i].result() if futures else run(path))
-        except (AudioFileError, ValueError) as exc:
-            failures.append((path, exc))
-
-    reports.sort(key=lambda r: r.label)
-    if len({r.label for r in reports}) != len(reports):
+    stems = [Path(p).stem for p in paths]  # each clip's label, as load_wav names it
+    if len(set(stems)) != len(stems):
         print("error: duplicate clip labels in batch", file=sys.stderr)
         return 2
-
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    domain = DOMAIN_FLAGS[args.domain]
     columns = [f"bin_{i}" for i in range(cfg.n_bins)]
-    for rep in reports:
+
+    def run(path):
+        """Analyze and write one clip; return its label, summary line and
+        domain bins (None without that domain), or the clip's error."""
+        try:
+            # short-clip warnings go to stderr; output files are unaffected
+            rep = analyze_clip(path, cfg)
+        except (AudioFileError, ValueError) as exc:
+            return exc
         _write(out / f"{rep.label}_report.json", to_json(rep))
         _write(out / f"{rep.label}_spectra.csv", _spectra_csv(rep))
         _write(out / f"{rep.label}_bins.csv",
                _bins_csv([(d, p.bins) for d, p in rep.profiles.items()], columns))
         _write(out / f"{rep.label}_panels.svg", clip_figure(rep, cfg))
-
-    domain = DOMAIN_FLAGS[args.domain]
-    if reports:
-        rows = [(r.label, r.profiles[domain].bins) for r in reports if domain in r.profiles]
-        _write(out / "combined_bins.csv", _bins_csv(rows, columns, key="label"))
-
-    for rep in reports:
         note = " [FEMS absent]" if rep.fems_absent else ""
-        print(f"{rep.label}: {rep.duration_s:.2f} s{note}")
+        bins = rep.profiles[domain].bins if domain in rep.profiles else None
+        return rep.label, f"{rep.label}: {rep.duration_s:.2f} s{note}", bins
+
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(run, paths))
+    failures = [(path, r) for path, r in zip(paths, results) if isinstance(r, Exception)]
+    done = sorted((r for r in results if not isinstance(r, Exception)), key=lambda r: r[0])
+
+    if done:
+        rows = [(label, bins) for label, _, bins in done if bins is not None]
+        _write(out / "combined_bins.csv", _bins_csv(rows, columns, key="label"))
+    for _, line, _ in done:
+        print(line)
     for path, exc in failures:
         print(f"failed: {path}: {exc}", file=sys.stderr)
 
-    if not reports:
+    if not done:
         return 2
     return 1 if failures else 0
 
@@ -272,10 +265,8 @@ def cmd_pvi(args) -> int:
     scale = 1000.0 if args.unit == "ms" else 1.0
     d = durations * scale
     raw, norm = rpvi(d), npvi(d)
-    count = int(durations.size)
-    total = float(durations.sum())
-    mean = total / count
-    rate = count / total
+    rates = rates_from_annotation(tier)
+    count, total, mean, rate = (rates[k] for k in ("count", "total_s", "mean_s", "rate_hz"))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -305,17 +296,10 @@ def cmd_pvi(args) -> int:
     return 0
 
 
-def _filter_pauses(tier: AnnotationTier) -> AnnotationTier:
-    kept = tuple(iv for iv in tier.intervals if iv[2] not in PAUSE_LABELS)
-    return AnnotationTier(kept, tier.tier_name)
-
-
 def cmd_calibrate(args) -> int:
     cfg = load_config(args)
-    words = _filter_pauses(read_annotation_csv(args.words))
-    syllables = _filter_pauses(read_annotation_csv(args.syllables))
-    word_rates = rates_from_annotation(words)
-    syll_rates = rates_from_annotation(syllables)
+    word_rates = rates_from_annotation(read_annotation_csv(args.words))
+    syll_rates = rates_from_annotation(read_annotation_csv(args.syllables))
     lo, hi, center = predict_formant_range(word_rates["rate_hz"], syll_rates["rate_hz"])
 
     report = analyze_clip(args.wav, cfg)
@@ -355,9 +339,14 @@ def cmd_calibrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:  # refused by the subcommand's own parser, so its usage is shown
-        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the parser that met the first unknown flag refuses it, with its own usage
+        before_command = argv.index(args.command) > 0
+        error = parser.error if before_command else args.usage_error
+        error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
     except (AudioFileError, OSError, ValueError, json.JSONDecodeError) as exc:

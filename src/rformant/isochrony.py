@@ -44,29 +44,9 @@ class AnnotationTier:
                 raise ValueError(f"interval starting at {start} overlaps the previous one")
             prev_start, prev_end = start, end
 
-    def durations(self, include_pauses: bool = False) -> np.ndarray:
-        if include_pauses:
-            return np.array([e - s for s, e, _ in self.intervals])
-        return np.array(
-            [e - s for s, e, l in self.intervals if l not in PAUSE_LABELS]
-        )
-
-
-@dataclass(frozen=True)
-class DurationVector:
-    """Positive durations in any consistent unit, at least two of them."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("need at least two durations")
-        if np.any(self.values <= 0):
-            raise ValueError("durations must be positive")
-
-    def __len__(self):
-        return self.values.size
+    def durations(self) -> np.ndarray:
+        """Durations of the speech intervals; pauses (PAUSE_LABELS) are left out."""
+        return np.array([e - s for s, e, l in self.intervals if l not in PAUSE_LABELS])
 
 
 def read_annotation_csv(path, tier_name: str = "") -> AnnotationTier:
@@ -101,7 +81,7 @@ def read_annotation_csv(path, tier_name: str = "") -> AnnotationTier:
 
 
 def _values(d, min_len: int = 2, positive: bool = False) -> np.ndarray:
-    v = d.values if isinstance(d, DurationVector) else np.asarray(d, dtype=np.float64)
+    v = np.asarray(d, dtype=np.float64)
     if v.ndim != 1 or v.size < min_len:
         raise ValueError(f"need a 1-D vector of at least {min_len} values")
     if positive and np.any(v <= 0):
@@ -154,10 +134,10 @@ def canberra(a, b) -> float:
 
 
 def rates_from_annotation(tier: AnnotationTier) -> dict:
-    """Count, total and mean duration, and rate in Hz of a tier's intervals."""
-    if not tier.intervals:
-        raise ValueError("tier has no intervals")
-    durs = tier.durations(include_pauses=True)
+    """Count, total and mean duration, and rate in Hz of a tier's speech intervals."""
+    durs = tier.durations()
+    if not durs.size:
+        raise ValueError("tier has no speech intervals")
     total = float(durs.sum())
     return {
         "count": int(durs.size),

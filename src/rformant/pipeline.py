@@ -58,6 +58,22 @@ class UtteranceReport:
         return FEMS not in self.profiles
 
 
+def profile(spec: LongTermSpectrum, n: int = 6, n_bins: int = 10) -> RFormantProfile:
+    """Top-n peaks plus their weighted histogram, as one record."""
+    if spec.band is None:
+        raise ValueError("spectrum has no band; normalize it first")
+    # called through this module's names, which the benchmark's tracer wraps
+    peaks = top_n_frequencies(spec, n)
+    return RFormantProfile(
+        label=spec.label,
+        domain=spec.domain,
+        peaks=peaks,
+        bins=weighted_bins(peaks, spec.band, n_bins),
+        band=spec.band,
+        n_bins=n_bins,
+    )
+
+
 def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> UtteranceReport:
     """Run the full per-clip pipeline on an in-memory signal."""
     cfg = config or AnalysisConfig()
@@ -90,15 +106,7 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
     for domain, s in series.items():
         spec = normalize_log_detrend(long_term_spectrum(s, domain, sig.label), cfg.band)
         spectra[domain] = spec
-        peaks = top_n_frequencies(spec, cfg.n_peaks)
-        profs[domain] = RFormantProfile(
-            label=sig.label,
-            domain=domain,
-            peaks=peaks,
-            bins=weighted_bins(peaks, cfg.band, cfg.n_bins),
-            band=cfg.band,
-            n_bins=cfg.n_bins,
-        )
+        profs[domain] = profile(spec, cfg.n_peaks, cfg.n_bins)
         # bars are a display element; a short clip may not have n_bars samples
         bars[domain] = rhythm_bars(spec, min(cfg.n_bars, spec.freqs.size))
 

@@ -110,19 +110,3 @@ def weighted_bins(
         bins[:] = 0.0
     return bins
 
-
-def profile(
-    spec: LongTermSpectrum, n: int = 6, n_bins: int = 10
-) -> RFormantProfile:
-    """Top-n peaks plus their weighted histogram, as one record."""
-    if spec.band is None:
-        raise ValueError("spectrum has no band; normalize it first")
-    peaks = top_n_frequencies(spec, n)
-    return RFormantProfile(
-        label=spec.label,
-        domain=spec.domain,
-        peaks=peaks,
-        bins=weighted_bins(peaks, spec.band, n_bins),
-        band=spec.band,
-        n_bins=n_bins,
-    )

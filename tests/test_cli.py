@@ -134,6 +134,19 @@ def test_analyze_duplicate_labels_exit_2(clips, tmp_path):
     assert rc == 2
 
 
+def test_analyze_duplicate_stems_refused_before_any_work(clips, tmp_path, capsys):
+    # the copy under b/ is broken, so only a check made before analysis sees two x's
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    good, bad = tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"
+    good.write_bytes(read(clips / "alpha.wav"))
+    bad.write_bytes(b"RIFFnope")
+    out = tmp_path / "o"
+    assert main(["analyze", str(good), str(bad), "--out", str(out)]) == 2
+    assert "duplicate clip labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_band_and_peaks_flags(clips, tmp_path):
     out = tmp_path / "out"
     rc = main(["analyze", str(clips / "alpha.wav"), "--out", str(out),
@@ -552,6 +565,23 @@ def test_calibrate_outputs(clips, tmp_path):
     assert cal["center_error_hz"] >= 0.0
 
 
+def test_calibrate_ignores_pause_rows(clips, tmp_path):
+    words = "".join(f"{0.4 * i},{0.4 * i + 0.3},w{i}\n" for i in range(5))
+    paused = "".join(f"{0.4 * i},{0.4 * i + 0.3},w{i}\n{0.4 * i + 0.3},{0.4 * (i + 1)},{p}\n"
+                     for i, p in enumerate(["-", "", "--", "-", ""]))
+    sylls = tmp_path / "sylls.csv"
+    sylls.write_text("".join(f"{0.2 * i},{0.2 * (i + 1)},s{i}\n" for i in range(10)))
+    outputs = []
+    for name, text in (("plain", words), ("paused", paused)):
+        ann = tmp_path / f"{name}.csv"
+        ann.write_text(text)
+        out = tmp_path / f"cal_{name}"
+        assert main(["calibrate", str(clips / "alpha.wav"), str(ann), str(sylls),
+                     "--out", str(out)]) == 0
+        outputs.append(read(out / "calibration.json"))
+    assert outputs[0] == outputs[1]
+
+
 def test_calibrate_missing_wav_exit_2(tmp_path):
     w = tmp_path / "w.csv"
     w.write_text("0,0.5,a\n0.5,1.0,b\n")
@@ -624,6 +654,17 @@ def test_unread_flag_exits_2(tmp_path, capsys, command, flag):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: rformant {command} ")
     assert f"unrecognized arguments: {flag} " in err
+    assert not out.exists()
+
+
+def test_unknown_flag_before_subcommand_is_refused_by_top_level_parser(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "pvi", "a.csv", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rformant [-h] ")
+    assert "rformant: error: unrecognized arguments: --bogus" in err
     assert not out.exists()
 
 

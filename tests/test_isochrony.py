@@ -3,7 +3,6 @@ import pytest
 
 from rformant.isochrony import (
     AnnotationTier,
-    DurationVector,
     canberra,
     manhattan,
     npvi,
@@ -159,6 +158,16 @@ def test_rates_empty_tier():
         rates_from_annotation(AnnotationTier((), "empty"))
 
 
+def test_rates_leave_out_pauses():
+    speech = make_tier([0.3, 0.5, 0.2], gap=0.4)
+    pauses = [(e, e + 0.4, label) for (_, e, _), label in zip(speech.intervals, ["-", ""])]
+    with_pauses = AnnotationTier(tuple(sorted(speech.intervals + tuple(pauses))), "words")
+    assert len(with_pauses.intervals) == 5
+    assert rates_from_annotation(with_pauses) == rates_from_annotation(speech)
+    with pytest.raises(ValueError, match="speech"):
+        rates_from_annotation(make_tier([0.2, 0.3], labels=["-", ""]))
+
+
 # ---- formant range prediction ----
 
 
@@ -228,17 +237,6 @@ def test_tier_durations_exclude_pauses():
         ((0.0, 0.3, "one"), (0.3, 0.5, "-"), (0.5, 1.0, "two"), (1.0, 1.2, "")),
     )
     assert np.allclose(tier.durations(), [0.3, 0.5])
-    assert tier.durations(include_pauses=True).size == 4
-
-
-def test_duration_vector_validation():
-    dv = DurationVector(np.array([0.2, 0.4]))
-    assert len(dv) == 2
-    assert rpvi(dv) == pytest.approx(100.0 * 0.2 / 1)
-    with pytest.raises(ValueError):
-        DurationVector(np.array([0.5]))
-    with pytest.raises(ValueError):
-        DurationVector(np.array([0.5, -0.1]))
 
 
 def test_read_annotation_csv(tmp_path):

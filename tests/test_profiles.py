@@ -10,13 +10,8 @@ from rformant.lts import (
     long_term_spectrum,
     normalize_log_detrend,
 )
-from rformant.profiles import (
-    RFormantProfile,
-    profile,
-    rhythm_bars,
-    top_n_frequencies,
-    weighted_bins,
-)
+from rformant.pipeline import profile
+from rformant.profiles import RFormantProfile, rhythm_bars, top_n_frequencies, weighted_bins
 
 from conftest import am_tone
 
