@@ -149,7 +149,7 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
                 raise AudioFileError(f"{path}: zero-length audio")
             raw = fh.read(n * block_align)
     except OSError as exc:
-        raise AudioFileError(f"{path}: cannot read file ({exc})") from exc
+        raise AudioFileError(f"{path}: cannot read file ({exc.strerror or exc})") from exc
 
     if width == 3:
         # left-justify 24-bit samples into int32, so they scale as 32-bit PCM

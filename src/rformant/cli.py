@@ -17,6 +17,7 @@ succeeded), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -116,7 +117,7 @@ def load_config(args) -> AnalysisConfig:
             over["band_lo_hz"], over["band_hi_hz"] = map(float, band.split(":"))
         except ValueError:
             raise ValueError(f"--band expects LO:HI, got {band!r}") from None
-    return cfg.replace(**over) if over else cfg
+    return dataclasses.replace(cfg, **over) if over else cfg
 
 
 # ---- analyze ----
@@ -162,7 +163,9 @@ def cmd_analyze(args) -> int:
     for _, line, _ in done:
         print(line)
     for path, exc in failures:
-        print(f"failed: {path}: {exc}", file=sys.stderr)
+        # a file error already starts with its path; an analysis error does not
+        named = exc if isinstance(exc, AudioFileError) else f"{path}: {exc}"
+        print(f"failed: {named}", file=sys.stderr)
 
     if not done:
         return 2
@@ -193,7 +196,7 @@ def cmd_compare(args) -> int:
         values = {r.label: r.pearson[pair] for r in reports if r.pearson[pair] is not None}
         if not values:
             continue
-        s = correlation_summary(values, pair)
+        s = correlation_summary(values)
         lines.append(
             f"{pair},{_num(s['mean_r'])},{s['min_label']},{_num(s['min_r'])},"
             f"{s['max_label']},{_num(s['max_r'])}"

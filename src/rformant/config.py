@@ -7,6 +7,7 @@ rejected outright so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,23 +15,19 @@ from pathlib import Path
 @dataclass(frozen=True)
 class AnalysisConfig:
     trim_s: float = 5.0
-    resample_hz: float = 200.0
     band_lo_hz: float = 1.0
     band_hi_hz: float = 10.0
     n_peaks: int = 6
-    n_bars: int = 16
     n_bins: int = 10
-    envelope_window_ms: float = 20.0
-    envelope_hop_ms: float = 5.0
     f0_min_hz: float = 60.0
     f0_max_hz: float = 400.0
-    f0_frame_ms: float = 40.0
-    f0_hop_ms: float = 10.0
-    voicing_ratio: float = 0.35
     mantel_permutations: int = 9999
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.band_lo_hz < self.band_hi_hz:
             raise ValueError(
                 f"band_lo_hz must be below band_hi_hz, got "
@@ -38,14 +35,10 @@ class AnalysisConfig:
             )
         if self.band_lo_hz < 0:
             raise ValueError("band_lo_hz must be nonnegative")
-        positive = (
-            "trim_s", "resample_hz", "envelope_window_ms", "envelope_hop_ms",
-            "f0_min_hz", "f0_max_hz", "f0_frame_ms", "f0_hop_ms", "voicing_ratio",
-        )
-        for name in positive:
+        for name in ("trim_s", "f0_min_hz", "f0_max_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("n_peaks", "n_bars", "seed"):
+        for name in ("n_peaks", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.n_bins < 1:
@@ -58,9 +51,6 @@ class AnalysisConfig:
     @property
     def band(self) -> tuple[float, float]:
         return (self.band_lo_hz, self.band_hi_hz)
-
-    def replace(self, **kwargs) -> "AnalysisConfig":
-        return dataclasses.replace(self, **kwargs)
 
     @classmethod
     def from_file(cls, path) -> "AnalysisConfig":

@@ -25,7 +25,6 @@ class AnnotationTier:
     """Non-overlapping labeled time intervals, ascending by start."""
 
     intervals: tuple[tuple[float, float, str], ...]
-    tier_name: str = ""
 
     def __post_init__(self):
         object.__setattr__(
@@ -49,7 +48,7 @@ class AnnotationTier:
         return np.array([e - s for s, e, l in self.intervals if l not in PAUSE_LABELS])
 
 
-def read_annotation_csv(path, tier_name: str = "") -> AnnotationTier:
+def read_annotation_csv(path) -> AnnotationTier:
     """Read a 3-column annotation file: start_s, end_s, label.
 
     UTF-8, comma-separated, `#` comment lines and blank lines skipped, a
@@ -77,7 +76,7 @@ def read_annotation_csv(path, tier_name: str = "") -> AnnotationTier:
                 )
             label = row[2].strip() if len(row) > 2 else ""
             rows.append((start, end, label))
-    return AnnotationTier(tuple(rows), tier_name or path.stem)
+    return AnnotationTier(tuple(rows))
 
 
 def _values(d, min_len: int = 2, positive: bool = False) -> np.ndarray:
@@ -159,17 +158,16 @@ def predict_formant_range(word_rate: float, syllable_rate: float) -> tuple[float
     return lo, hi, (lo + hi) / 2.0
 
 
-def wagner_pairs(d, ddof: int = 0) -> dict:
+def wagner_pairs(d) -> dict:
     """Z-scored successive-duration pairs and their quadrant tallies.
 
     Each duration is z-scored over the full vector (population standard
-    deviation by default; ``ddof=1`` for the sample convention), then
-    consecutive pairs (z_k, z_{k+1}) are tallied by sign into the four
-    quadrants (-,-), (-,+), (+,-), (+,+). A zero z-score counts as
-    nonnegative.
+    deviation), then consecutive pairs (z_k, z_{k+1}) are tallied by sign
+    into the four quadrants (-,-), (-,+), (+,-), (+,+). A zero z-score
+    counts as nonnegative.
     """
     v = _values(d, min_len=3)
-    sd = float(np.std(v, ddof=ddof))
+    sd = float(np.std(v))
     if sd == 0:
         raise ValueError("constant durations have no z-scores")
     z = (v - v.mean()) / sd

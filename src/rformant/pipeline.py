@@ -35,6 +35,7 @@ from .profiles import (
 from .stats import pearson_r
 
 PAIRS = ("AMS:AEMS", "AMS:FEMS", "AEMS:FEMS")
+AMS_RATE_HZ = 200.0  # rate of the AMS series, the block-mean rectified signal
 
 
 @dataclass
@@ -79,8 +80,8 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
     cfg = config or AnalysisConfig()
     rect = rectify(sig)
 
-    series = {AMS: resample(rect, cfg.resample_hz)}  # kept in DOMAINS order
-    envelope = envelope_peak_pick(rect, cfg.envelope_window_ms, cfg.envelope_hop_ms)
+    series = {AMS: resample(rect, AMS_RATE_HZ)}  # kept in DOMAINS order
+    envelope = envelope_peak_pick(rect)
     series[AEMS] = envelope
 
     # the AMDF costs samples x lags, both proportional to the rate; track F0
@@ -90,9 +91,6 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         resample(sig, min(sig.rate, 20 * cfg.f0_max_hz)),
         f0_min=cfg.f0_min_hz,
         f0_max=cfg.f0_max_hz,
-        frame_ms=cfg.f0_frame_ms,
-        hop_ms=cfg.f0_hop_ms,
-        voicing_ratio=cfg.voicing_ratio,
     )
     if np.any(f0.values != UNVOICED):  # no voiced frames: FM branch absent
         f0_s = f0.values.size / f0.rate  # F0 framing drops a clip's last partial frame
@@ -107,8 +105,7 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         spec = normalize_log_detrend(long_term_spectrum(s, domain, sig.label), cfg.band)
         spectra[domain] = spec
         profs[domain] = profile(spec, cfg.n_peaks, cfg.n_bins)
-        # bars are a display element; a short clip may not have n_bars samples
-        bars[domain] = rhythm_bars(spec, min(cfg.n_bars, spec.freqs.size))
+        bars[domain] = rhythm_bars(spec)
 
     pearson: dict[str, float | None] = {}
     for pair in PAIRS:

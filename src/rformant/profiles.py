@@ -77,8 +77,9 @@ def top_n_frequencies(spec: LongTermSpectrum, n: int) -> tuple[tuple[float, floa
 
 
 def rhythm_bars(spec: LongTermSpectrum, n_bars: int = 16) -> list[float]:
-    """Frequencies of the n_bars strongest residual samples, ascending."""
-    return sorted(f for f, _ in top_n_frequencies(spec, n_bars))
+    """Frequencies of the n_bars strongest residual samples, ascending; a
+    short clip's spectrum with fewer band samples gives one bar per sample."""
+    return sorted(f for f, _ in top_n_frequencies(spec, min(n_bars, spec.freqs.size)))
 
 
 def weighted_bins(

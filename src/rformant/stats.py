@@ -143,7 +143,7 @@ def significance_code(p: float) -> str:
     return "ns"
 
 
-def correlation_summary(per_utterance_r: dict, pair_name: str = "") -> dict:
+def correlation_summary(per_utterance_r: dict) -> dict:
     """Mean, minimum, and maximum of labeled correlation values.
 
     Ties on the extremes resolve to the lexicographically smallest label.
@@ -159,7 +159,6 @@ def correlation_summary(per_utterance_r: dict, pair_name: str = "") -> dict:
         if r > max_r:
             max_label, max_r = label, r
     return {
-        "pair": pair_name,
         "mean_r": sum(r for _, r in items) / len(items),
         "min_label": min_label,
         "min_r": min_r,

@@ -118,6 +118,22 @@ def test_analyze_partial_batch_exit_1(clips, tmp_path, capsys):
     assert "bad.wav" in capsys.readouterr().err
 
 
+def test_analyze_failed_line_names_each_clip_once(clips, tmp_path, capsys):
+    missing = tmp_path / "nope.wav"
+    short = tmp_path / "short.wav"
+    write_wav(short, RATE, np.zeros(10))  # too short to analyze, read fine
+    rc = main(["analyze", str(clips / "alpha.wav"), str(missing), str(short),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed: ")]
+    assert len(failed) == 2
+    assert failed[0].startswith(f"failed: {missing}: cannot read file")
+    assert failed[1].startswith(f"failed: {short}: ")
+    for line, path in zip(failed, (missing, short)):
+        assert line.count(path.name) == 1, line
+
+
 def test_analyze_nothing_succeeds_exit_2(tmp_path):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"junk")
@@ -229,6 +245,23 @@ def test_bad_config_exit_2(clips, tmp_path, capsys):
                "--config", str(cfg)])
     assert rc == 2
     assert "no_such_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,config,key", [
+    (["--trim", "inf"], "", "trim_s"),
+    (["--trim", "nan"], "", "trim_s"),
+    (["--band", "1:inf"], "", "band_hi_hz"),
+    ([], "f0_max_hz = inf\n", "f0_max_hz"),
+])
+def test_non_finite_setting_refused_before_any_work(clips, tmp_path, capsys, flags, config, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    rc = main(["analyze", str(clips / "alpha.wav"), "--out", str(out),
+               "--config", str(cfg), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {key} must be finite\n"
+    assert not out.exists()
 
 
 # ---- compare ----

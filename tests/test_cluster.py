@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
@@ -133,6 +135,27 @@ def test_cophenetic_ultrametric():
     coph = cophenetic_matrix(upgma(dm)).values
     for x, y, z in itertools.permutations(range(6), 3):
         assert coph[x, z] <= max(coph[x, y], coph[y, z]) + 1e-12
+
+
+@st.composite
+def tied_dmatrix(draw):
+    """2 to 30 labels, distances drawn from five integers, so ties abound."""
+    m = draw(st.integers(2, 30))
+    n = m * (m - 1) // 2
+    v = np.zeros((m, m))
+    v[np.triu_indices(m, 1)] = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return DistanceMatrix(tuple(f"u{i}" for i in range(m)), v + v.T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tied_dmatrix())
+def test_upgma_properties_on_tied_distances(dm):
+    t = upgma(dm)
+    leaves = re.findall(r"[(,]([^(),:;]+):", to_newick(t))
+    assert sorted(leaves) == sorted(dm.labels)
+    coph = cophenetic_matrix(t).values
+    # d(a, c) <= max(d(a, b), d(b, c)) for every a, b, c
+    assert np.all(coph[:, None, :] <= np.maximum(coph[:, :, None], coph[None, :, :]) + 1e-12)
 
 
 def test_label_permutation_isomorphic():

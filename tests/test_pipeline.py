@@ -183,13 +183,12 @@ def test_ams_peak_is_rate_invariant():
 def test_config_controls_peak_and_bin_counts():
     x = am_tone(220.0, 4.0, 5.0, RATE)
     sig = SignalBuffer(samples=x, rate=RATE, label="am")
-    cfg = AnalysisConfig(n_peaks=3, n_bars=8, n_bins=5, band_lo_hz=2.0, band_hi_hz=6.0)
+    cfg = AnalysisConfig(n_peaks=3, n_bins=5, band_lo_hz=2.0, band_hi_hz=6.0)
     rep = analyze_signal(sig, cfg)
     assert rep.band == (2.0, 6.0)
     assert rep.n_bins == 5
     for domain in DOMAINS:
         assert len(rep.profiles[domain].peaks) == 3
-        assert len(rep.bars[domain]) == 8
         assert rep.profiles[domain].bins.size == 5
         for f, _ in rep.profiles[domain].peaks:
             assert 2.0 <= f <= 6.0

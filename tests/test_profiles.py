@@ -89,6 +89,8 @@ def test_rhythm_bars_ascending():
         np.array([2.0, 4.2, 6.4, 8.6]), [0.1, 0.9, 0.7, 0.4]
     )
     assert rhythm_bars(spec, 2) == [4.2, 6.4]
+    # a short clip's band may hold fewer samples than the default 16 bars
+    assert rhythm_bars(spec) == [2.0, 4.2, 6.4, 8.6]
 
 
 def test_weighted_bins_hand_example():

@@ -236,8 +236,7 @@ def test_significance_codes():
 
 
 def test_correlation_summary():
-    out = correlation_summary({"u1": 0.1, "u2": 0.2, "u3": 0.3}, "AMS:AEMS")
-    assert out["pair"] == "AMS:AEMS"
+    out = correlation_summary({"u1": 0.1, "u2": 0.2, "u3": 0.3})
     assert out["mean_r"] == pytest.approx(0.2)
     assert (out["min_label"], out["min_r"]) == ("u1", 0.1)
     assert (out["max_label"], out["max_r"]) == ("u3", 0.3)
