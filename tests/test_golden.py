@@ -1,8 +1,9 @@
-"""Golden output digests: analyze, compare and cluster stay byte-identical.
+"""Golden output digests: every subcommand's files stay byte-identical.
 
 A seeded corpus of short clips is generated here, at 8 to 48 kHz in int16,
-int24, float32 and stereo. The CLI runs on it, and the sha256 of every file
-it writes is compared with ``golden/golden.json``. A change that moves
+int24, float32 and stereo, with three annotation tiers: words with pauses,
+syllables, and constant durations. The CLI runs on it, and the sha256 of
+every file it writes is compared with ``golden/golden.json``. A change that moves
 outputs on purpose rewrites that file with
 
     PYTHONPATH=src python3 tests/golden/update.py
@@ -49,13 +50,37 @@ def _clips():
     ]
 
 
+def _tiers():
+    """(name, CSV text) per annotation tier, for pvi and calibrate."""
+    rng = np.random.default_rng(11)
+    rows, t = [], 0.0
+    for i, dur in enumerate(rng.uniform(0.12, 0.55, 12)):
+        rows.append(f"{t:.3f},{t + dur:.3f},w{i}")
+        t += dur
+        if i % 4 == 3:  # a pause after every fourth word
+            rows.append(f"{t:.3f},{t + 0.2:.3f},-")
+            t += 0.2
+    words = "# generated word tier\nstart,end,label\n" + "".join(r + "\n" for r in rows)
+    bounds = np.cumsum(np.r_[0.0, rng.uniform(0.08, 0.3, 16)])
+    syllables = "".join(f"{a:.3f},{b:.3f},s{i}\n"
+                        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])))
+    constant = "".join(f"{0.25 * i},{0.25 * (i + 1)},c{i}\n" for i in range(5))
+    return [("words", words), ("syllables", syllables), ("constant", constant)]
+
+
 def write_corpus(root: Path) -> list[str]:
+    """Write the clips and the annotation tiers; return the clip paths.
+
+    Each tier is written as ``<name>.csv`` beside the clips.
+    """
     root.mkdir(parents=True, exist_ok=True)
     paths = []
     for name, rate, dtype, x in _clips():
         path = root / f"{name}.wav"
         write_wav(path, rate, x, dtype)
         paths.append(str(path))
+    for name, text in _tiers():
+        (root / f"{name}.csv").write_text(text, encoding="utf-8")
     return paths
 
 
@@ -68,7 +93,8 @@ def _digests(root: Path) -> dict[str, str]:
 
 
 def output_digests(wavs: list[str], root: Path, jobs: int) -> dict[str, str]:
-    """Run analyze, then compare and cluster over its reports, under ``root``.
+    """Run analyze, then compare and cluster over its reports, then pvi and
+    calibrate over the tiers beside the clips, under ``root``.
 
     Returns the sha256 of every file written, keyed by its path below
     ``root``. Every command must exit 0.
@@ -84,6 +110,13 @@ def output_digests(wavs: list[str], root: Path, jobs: int) -> dict[str, str]:
             out = root / f"cluster_{domain}_{metric}"
             assert main(["cluster", *reports, "--out", str(out), "--metric", metric,
                          "--domain", domain]) == 0
+    tiers = Path(wavs[0]).parent
+    for unit in ("s", "ms"):
+        for tier in ("words", "constant"):
+            assert main(["pvi", str(tiers / f"{tier}.csv"), "--out", str(root / f"pvi_{unit}"),
+                         "--unit", unit]) == 0
+    assert main(["calibrate", wavs[0], str(tiers / "words.csv"), str(tiers / "syllables.csv"),
+                 "--out", str(root / "calibrate")]) == 0
     return _digests(root)
 
 
