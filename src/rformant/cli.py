@@ -38,7 +38,7 @@ from .isochrony import (
 from .lts import AEMS, AMS, FEMS
 from .pipeline import PAIRS, analyze_clip
 from .plots import clip_figure, dendrogram_figure
-from .report import _num, check_mergeable, to_json
+from .report import check_mergeable, table, to_json
 # the benchmark (perfbench/spans.py) times _spectra_csv, _bins_csv, _write and
 # _load_report by wrapping them here, so cli calls them by these names
 from .report import bins_csv as _bins_csv, load as _load_report, spectra_csv as _spectra_csv
@@ -49,6 +49,13 @@ DOMAIN_FLAGS = {"ams": AMS, "aems": AEMS, "fems": FEMS}
 
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def _out_dir(args) -> Path:
+    """The --out directory, made once a command's checks have passed."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _jobs(text: str) -> int:
@@ -128,10 +135,8 @@ def cmd_analyze(args) -> int:
     paths = list(args.wavs)
     stems = [Path(p).stem for p in paths]  # each clip's label, as load_wav names it
     if len(set(stems)) != len(stems):
-        print("error: duplicate clip labels in batch", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise ValueError("duplicate clip labels in batch")
+    out = _out_dir(args)
     domain = DOMAIN_FLAGS[args.domain]
     columns = [f"bin_{i}" for i in range(cfg.n_bins)]
 
@@ -186,24 +191,19 @@ def cmd_compare(args) -> int:
     cfg = load_config(args)
     reports = _load_reports(args.reports)
     if len(reports) < 3:
-        print("error: compare needs at least 3 reports", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise ValueError("compare needs at least 3 reports")
+    out = _out_dir(args)
 
-    lines = ["pair,mean_r,min_label,min_r,max_label,max_r"]
+    head = ["mean_r", "min_label", "min_r", "max_label", "max_r"]
+    rows = []
     for pair in PAIRS:
         values = {r.label: r.pearson[pair] for r in reports if r.pearson[pair] is not None}
-        if not values:
-            continue
-        s = correlation_summary(values)
-        lines.append(
-            f"{pair},{_num(s['mean_r'])},{s['min_label']},{_num(s['min_r'])},"
-            f"{s['max_label']},{_num(s['max_r'])}"
-        )
-    _write(out / "pearson_summary.csv", "\n".join(lines) + "\n")
+        if values:
+            s = correlation_summary(values)
+            rows.append((pair, *(s[k] for k in head)))
+    _write(out / "pearson_summary.csv", table(["pair", *head], rows))
 
-    lines = ["pair,r,p,significance"]
+    rows = []
     for pair in PAIRS:
         da, db = pair.split(":")
         shared = [rep for rep in reports if da in rep.profiles and db in rep.profiles]
@@ -218,13 +218,10 @@ def cmd_compare(args) -> int:
         except ValueError as exc:
             print(f"note: {pair}: {exc}; skipped", file=sys.stderr)
             continue
-        lines.append(
-            f"{pair},{_num(result['r'])},{_num(result['p'])},"
-            f"{significance_code(result['p'])}"
-        )
-        print(f"{pair}: r={result['r']:.3f} p={result['p']:.4f} "
-              f"{significance_code(result['p'])}")
-    _write(out / "mantel.csv", "\n".join(lines) + "\n")
+        code = significance_code(result["p"])
+        rows.append((pair, result["r"], result["p"], code))
+        print(f"{pair}: r={result['r']:.3f} p={result['p']:.4f} {code}")
+    _write(out / "mantel.csv", table(["pair", "r", "p", "significance"], rows))
     return 0
 
 
@@ -236,11 +233,8 @@ def cmd_cluster(args) -> int:
         if domain not in rep.profiles:
             print(f"warning: {rep.label}: no {domain} profile; excluded", file=sys.stderr)
     if len(profiles) < 2:
-        print(f"error: need at least 2 reports with a {domain} profile",
-              file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise ValueError(f"need at least 2 reports with a {domain} profile")
+    out = _out_dir(args)
 
     dm = distance_matrix(profiles, args.metric)
     tree = upgma(dm)
@@ -263,38 +257,33 @@ def cmd_pvi(args) -> int:
     tier = read_annotation_csv(args.annotation)
     durations = tier.durations()  # pause intervals excluded
     if durations.size < 2:
-        print("error: need at least 2 non-pause intervals", file=sys.stderr)
-        return 2
+        raise ValueError("need at least 2 non-pause intervals")
     scale = 1000.0 if args.unit == "ms" else 1.0
     d = durations * scale
     raw, norm = rpvi(d), npvi(d)
     rates = rates_from_annotation(tier)
     count, total, mean, rate = (rates[k] for k in ("count", "total_s", "mean_s", "rate_hz"))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     stem = Path(args.annotation).stem
 
     try:
         wagner = wagner_pairs(d)
-        q = wagner["quadrant_counts"]
-        q_cells = ",".join(str(c) for c in q)
-        scatter = ["z_a,z_b"] + [f"{_num(a)},{_num(b)}" for a, b in wagner["pairs"]]
-        _write(out / f"{stem}_wagner.csv", "\n".join(scatter) + "\n")
-    except ValueError:
-        q = None
-        q_cells = ",,,"
+    except ValueError:  # constant durations have no z-scores: empty quadrant cells
+        wagner, q = None, ("",) * 4
+    else:
+        q = wagner["quadrant_counts"]  # Python ints, so table writes them as counts
+        _write(out / f"{stem}_wagner.csv", table(["z_a", "z_b"], wagner["pairs"]))
 
-    head = ("rpvi,npvi,count,total_s,mean_s,rate_hz,"
-            "q_minus_minus,q_minus_plus,q_plus_minus,q_plus_plus")
-    row = (f"{_num(raw)},{_num(norm)},{count},{_num(total)},{_num(mean)},"
-           f"{_num(rate)},{q_cells}")
-    _write(out / f"{stem}_pvi.csv", head + "\n" + row + "\n")
+    head = ["rpvi", "npvi", "count", "total_s", "mean_s", "rate_hz",
+            "q_minus_minus", "q_minus_plus", "q_plus_minus", "q_plus_plus"]
+    _write(out / f"{stem}_pvi.csv",
+           table(head, [(raw, norm, count, total, mean, rate, *q)]))
 
     print(f"rPVI ({args.unit}): {raw:.2f}")
     print(f"nPVI: {norm:.2f}")
     print(f"count: {count}  total: {total:.3f} s  mean: {mean:.3f} s  rate: {rate:.2f} Hz")
-    if q is not None:
+    if wagner is not None:
         print(f"quadrants (-,-) {q[0]}  (-,+) {q[1]}  (+,-) {q[2]}  (+,+) {q[3]}")
     return 0
 
@@ -308,14 +297,12 @@ def cmd_calibrate(args) -> int:
     report = analyze_clip(args.wav, cfg)
     peaks = [f for f, _ in report.profiles[AMS].peaks]
     if not peaks:
-        print("error: no spectral peaks to calibrate against", file=sys.stderr)
-        return 2
+        raise ValueError("no spectral peaks to calibrate against")
     measured_lo, measured_hi = min(peaks), max(peaks)
     measured_center = (measured_lo + measured_hi) / 2.0
     err = abs(center - measured_center)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     payload = {
         "schema": 1,
         "label": report.label,

@@ -2,7 +2,8 @@
 
 analyze writes each clip's report with to_json, spectra_csv and bins_csv;
 compare and cluster read reports back with load and check_mergeable. No
-other module knows the report layout.
+other module knows the report layout. table writes every CSV file the CLI
+makes, so one module knows the cell and line format.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ from .profiles import RFormantProfile
 SCHEMA = 1
 
 
-def _num(x) -> str:
-    """Full-precision, locale-independent numeric cell."""
-    return repr(float(x))
-
-
 def to_json(rep) -> str:
     """The JSON text of one UtteranceReport, keys sorted."""
     domains = {domain: {"present": False} for domain in DOMAINS}
@@ -38,21 +34,30 @@ def to_json(rep) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _cell(x) -> str:
+    """A CSV cell: text as it is, a Python int with str, and any other number
+    at full precision and independent of locale."""
+    if isinstance(x, str):
+        return x
+    return str(x) if isinstance(x, int) else repr(float(x))
+
+
+def table(header, rows) -> str:
+    """CSV text: the header cells, then one LF-terminated line per row."""
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
 def spectra_csv(rep) -> str:
     """Every present domain's band spectrum, one frequency per line."""
-    lines = ["domain,freq_hz,magnitude,residual"]
-    for domain, spec in rep.spectra.items():
-        for f, m, r in zip(spec.freqs, spec.magnitude, spec.residual):
-            lines.append(f"{domain},{_num(f)},{_num(m)},{_num(r)}")
-    return "\n".join(lines) + "\n"
+    rows = [(domain, *fmr) for domain, spec in rep.spectra.items()
+            for fmr in zip(spec.freqs, spec.magnitude, spec.residual)]
+    return table(["domain", "freq_hz", "magnitude", "residual"], rows)
 
 
 def bins_csv(rows, columns, key: str = "domain") -> str:
     """A ``key,<columns>`` header, then one ``name,<values>`` line per row:
     a clip's domains, one domain across clips, or a distance matrix."""
-    lines = [",".join([key, *columns])]
-    lines += [",".join([name, *map(_num, values)]) for name, values in rows]
-    return "\n".join(lines) + "\n"
+    return table([key, *columns], [(name, *values) for name, values in rows])
 
 
 # what compare and cluster use of a report; profiles holds the present domains
