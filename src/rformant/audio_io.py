@@ -2,8 +2,9 @@
 
 Everything downstream works on :class:`SignalBuffer`: mono float samples in
 [-1, 1] plus a sample rate and an utterance label. Clips are trimmed to a
-fixed head duration (default 5 s) so spectra of different recordings share
-the same frequency resolution.
+fixed head duration (default 5 s), so the spectra of clips at least that
+long share one frequency resolution. A shorter clip keeps its whole length
+and a coarser grid: a 3.5 s clip has a 0.286 Hz grid, not 0.2 Hz.
 """
 
 from __future__ import annotations

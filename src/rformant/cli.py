@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    analysis = "--config --out --trim --band --peaks --bins"
-    p = command("analyze", cmd_analyze, "analyze WAV clips", analysis + " --jobs --domain")
+    analysis = "--config --out --trim --band --peaks"
+    p = command("analyze", cmd_analyze, "analyze WAV clips", analysis + " --bins --jobs --domain")
     p.add_argument("wavs", nargs="+", metavar="WAV")
     p = command("compare", cmd_compare, "correlation tables across reports",
                 "--config --out --metric --permutations --seed")
@@ -146,7 +146,7 @@ def cmd_analyze(args) -> int:
         try:
             # short-clip warnings go to stderr; output files are unaffected
             rep = analyze_clip(path, cfg)
-        except (AudioFileError, ValueError) as exc:
+        except ValueError as exc:  # AudioFileError is a ValueError
             return exc
         _write(out / f"{rep.label}_report.json", to_json(rep))
         _write(out / f"{rep.label}_spectra.csv", _spectra_csv(rep))
@@ -258,8 +258,7 @@ def cmd_pvi(args) -> int:
     durations = tier.durations()  # pause intervals excluded
     if durations.size < 2:
         raise ValueError("need at least 2 non-pause intervals")
-    scale = 1000.0 if args.unit == "ms" else 1.0
-    d = durations * scale
+    d = durations * (1000.0 if args.unit == "ms" else 1.0)
     raw, norm = rpvi(d), npvi(d)
     rates = rates_from_annotation(tier)
     count, total, mean, rate = (rates[k] for k in ("count", "total_s", "mean_s", "rate_hz"))
@@ -309,12 +308,8 @@ def cmd_calibrate(args) -> int:
         "word_rate_hz": word_rates["rate_hz"],
         "syllable_rate_hz": syll_rates["rate_hz"],
         "predicted": {"lo_hz": lo, "hi_hz": hi, "center_hz": center},
-        "measured": {
-            "peaks_hz": peaks,
-            "lo_hz": measured_lo,
-            "hi_hz": measured_hi,
-            "center_hz": measured_center,
-        },
+        "measured": {"peaks_hz": peaks, "lo_hz": measured_lo, "hi_hz": measured_hi,
+                     "center_hz": measured_center},
         "center_error_hz": err,
     }
     _write(out / "calibration.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -339,7 +334,7 @@ def main(argv=None) -> int:
         error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.handler(args)
-    except (AudioFileError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # file, audio, JSON and input errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

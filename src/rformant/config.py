@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .demodulation import F0_FRAME_MS
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -38,6 +40,11 @@ class AnalysisConfig:
         for name in ("trim_s", "f0_min_hz", "f0_max_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.f0_min_hz < 2000.0 / F0_FRAME_MS:
+            raise ValueError(
+                f"f0_min_hz must be at least {2000.0 / F0_FRAME_MS:g}, so that the "
+                f"{F0_FRAME_MS:g} ms F0 frame spans two periods; got {self.f0_min_hz}"
+            )
         for name in ("n_peaks", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -67,16 +74,12 @@ class AnalysisConfig:
             key, text = key.strip(), text.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse(key, text, known[key], path, lineno)
-        return cls(**values)
-
-
-def _parse(key, text, type_name, path, lineno):
-    try:
-        if type_name == "int":
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise ValueError(
-            f"{path}:{lineno}: cannot parse {text!r} as {type_name} for {key}"
-        ) from None
+            try:
+                values[key] = int(text) if known[key] == "int" else float(text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: cannot parse {text!r} as "
+                                 f"{known[key]} for {key}") from None
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -25,6 +25,9 @@ UNVOICED = 0.0
 
 _RMS_GATE = 1e-4
 
+# amdf_f0's frame length; a frame must span two periods of the lowest F0
+F0_FRAME_MS = 40.0
+
 
 @dataclass(frozen=True)
 class Track:
@@ -134,7 +137,7 @@ def amdf_f0(
     sig: SignalBuffer,
     f0_min: float = 60.0,
     f0_max: float = 400.0,
-    frame_ms: float = 40.0,
+    frame_ms: float = F0_FRAME_MS,
     hop_ms: float = 10.0,
     voicing_ratio: float = 0.35,
 ) -> Track:

@@ -51,23 +51,23 @@ class AnnotationTier:
 def read_annotation_csv(path) -> AnnotationTier:
     """Read a 3-column annotation file: start_s, end_s, label.
 
-    UTF-8, comma-separated, `#` comment lines and blank lines skipped, a
-    single header row tolerated.
+    UTF-8, comma-separated, `#` comment lines and blank lines skipped. The
+    first other row may be a header; any later non-numeric row is an error.
     """
     path = Path(path)
     rows = []
+    header_allowed = True
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].lstrip().startswith("#"):
+            if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
                 continue
-            if all(not cell.strip() for cell in row):
-                continue
+            first_row, header_allowed = header_allowed, False
             if len(row) < 2:
                 raise ValueError(f"{path}:{lineno}: expected start,end[,label]")
             try:
                 start, end = float(row[0]), float(row[1])
             except ValueError:
-                if not rows and lineno <= 2:
+                if first_row:
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: non-numeric interval bounds")
             if not end > start:

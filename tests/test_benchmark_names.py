@@ -4,7 +4,8 @@
 renames one breaks the benchmark's tracer, and one that stops calling it
 through that name leaves a benchmark layer silently empty. The benchmark's
 own tests are not part of this suite, so these tests check every name
-resolves and is called by the CLI.
+resolves and is called by the CLI, and that each count hook accepts the
+arguments and result of a real call.
 """
 
 import functools
@@ -28,26 +29,29 @@ def targets():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)  # stdlib only; defines TARGETS
     assert spans.TARGETS
-    return [(module, attr) for module, attr, _, _ in spans.TARGETS]
+    return [(module, attr, hook) for module, attr, _, hook in spans.TARGETS]
 
 
 def test_benchmark_traced_names_resolve(targets):
-    missing = [f"{module}.{attr}" for module, attr in targets
+    missing = [f"{module}.{attr}" for module, attr, _ in targets
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
 
 
 def test_benchmark_traced_names_are_called(targets, tmp_path, monkeypatch):
     calls = Counter()
+    first_call = {}  # name -> (args, kwargs, result) of its first call
 
     def counted(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            first_call.setdefault(name, (args, kwargs, result))
+            return result
         return wrapper
 
-    for module, attr in targets:
+    for module, attr, _ in targets:
         mod = importlib.import_module(module)
         monkeypatch.setattr(mod, attr, counted(f"{module}.{attr}", getattr(mod, attr)))
 
@@ -65,5 +69,10 @@ def test_benchmark_traced_names_are_called(targets, tmp_path, monkeypatch):
                  "--permutations", "99"]) == 0
     assert main(["cluster", *reports, "--out", str(tmp_path / "clu")]) == 0
 
-    uncalled = [f"{module}.{attr}" for module, attr in targets if not calls[f"{module}.{attr}"]]
+    uncalled = [f"{module}.{attr}" for module, attr, _ in targets if not calls[f"{module}.{attr}"]]
     assert not uncalled
+    # the tracer runs each count hook on the call it wraps, as --trace does
+    for module, attr, hook in targets:
+        if hook is not None:
+            counts = hook(*first_call[f"{module}.{attr}"])
+            assert isinstance(counts, dict), f"{module}.{attr}: {hook.__name__}"

@@ -260,7 +260,20 @@ def test_non_finite_setting_refused_before_any_work(clips, tmp_path, capsys, fla
     rc = main(["analyze", str(clips / "alpha.wav"), "--out", str(out),
                "--config", str(cfg), *flags])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {key} must be finite\n"
+    where = f"{cfg}: " if config else ""  # a config file's value error names the file
+    assert capsys.readouterr().err == f"error: {where}{key} must be finite\n"
+    assert not out.exists()
+
+
+def test_f0_min_below_frame_limit_refused_before_any_work(clips, tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("f0_min_hz = 40\n")
+    out = tmp_path / "o"
+    rc = main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: f0_min_hz must be at least 50")
+    assert "failed:" not in err
     assert not out.exists()
 
 
@@ -654,7 +667,7 @@ READS = {
     "compare": {"--config", "--out", "--metric", "--permutations", "--seed"},
     "cluster": {"--out", "--metric", "--domain"},
     "pvi": {"--out", "--unit"},
-    "calibrate": {"--config", "--out", "--trim", "--band", "--peaks", "--bins"},
+    "calibrate": {"--config", "--out", "--trim", "--band", "--peaks"},
 }
 # a value each flag accepts, so that only the flag itself can be refused
 FLAG_VALUES = {

@@ -259,3 +259,20 @@ def test_read_annotation_csv_bad_rows(tmp_path):
     p2.write_text("0.5\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_annotation_csv(p2)
+
+
+def test_read_annotation_csv_header_only_in_first_row(tmp_path):
+    # a typo in the first data row is an error, not a second header
+    p = tmp_path / "typo.csv"
+    p.write_text("start,end,label\n0.1x,0.3,ba\n0.3,0.5,b\n0.5,0.9,c\n0.9,1.0,d\n",
+                 encoding="utf-8")
+    with pytest.raises(ValueError, match=r"typo\.csv:2: non-numeric interval bounds"):
+        read_annotation_csv(p)
+
+
+def test_read_annotation_csv_header_after_comment_and_blank(tmp_path):
+    p = tmp_path / "commented.csv"
+    p.write_text("# words of one take\n\nstart,end,label\n0.1,0.3,ba\n0.3,0.5,b\n",
+                 encoding="utf-8")
+    tier = read_annotation_csv(p)
+    assert tier.intervals == ((0.1, 0.3, "ba"), (0.3, 0.5, "b"))
