@@ -258,7 +258,8 @@ def cmd_pvi(args) -> int:
     durations = tier.durations()  # pause intervals excluded
     if durations.size < 2:
         raise ValueError("need at least 2 non-pause intervals")
-    d = durations * (1000.0 if args.unit == "ms" else 1.0)
+    scale = 1000.0 if args.unit == "ms" else 1.0
+    d = durations * scale
     raw, norm = rpvi(d), npvi(d)
     rates = rates_from_annotation(tier)
     count, total, mean, rate = (rates[k] for k in ("count", "total_s", "mean_s", "rate_hz"))
@@ -308,8 +309,12 @@ def cmd_calibrate(args) -> int:
         "word_rate_hz": word_rates["rate_hz"],
         "syllable_rate_hz": syll_rates["rate_hz"],
         "predicted": {"lo_hz": lo, "hi_hz": hi, "center_hz": center},
-        "measured": {"peaks_hz": peaks, "lo_hz": measured_lo, "hi_hz": measured_hi,
-                     "center_hz": measured_center},
+        "measured": {
+            "peaks_hz": peaks,
+            "lo_hz": measured_lo,
+            "hi_hz": measured_hi,
+            "center_hz": measured_center,
+        },
         "center_error_hz": err,
     }
     _write(out / "calibration.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -259,15 +259,11 @@ def test_read_annotation_csv_bad_rows(tmp_path):
     p2.write_text("0.5\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_annotation_csv(p2)
-
-
-def test_read_annotation_csv_header_only_in_first_row(tmp_path):
     # a typo in the first data row is an error, not a second header
-    p = tmp_path / "typo.csv"
-    p.write_text("start,end,label\n0.1x,0.3,ba\n0.3,0.5,b\n0.5,0.9,c\n0.9,1.0,d\n",
-                 encoding="utf-8")
+    p3 = tmp_path / "typo.csv"
+    p3.write_text("start,end,label\n0.1x,0.3,ba\n0.3,0.5,b\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"typo\.csv:2: non-numeric interval bounds"):
-        read_annotation_csv(p)
+        read_annotation_csv(p3)
 
 
 def test_read_annotation_csv_header_after_comment_and_blank(tmp_path):
