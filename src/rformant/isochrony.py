@@ -56,18 +56,18 @@ def read_annotation_csv(path) -> AnnotationTier:
     """
     path = Path(path)
     rows = []
-    header_allowed = True
+    seen = 0  # rows that are neither comments nor blank
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not any(cell.strip() for cell in row) or row[0].lstrip().startswith("#"):
                 continue
-            first_row, header_allowed = header_allowed, False
+            seen += 1
             if len(row) < 2:
                 raise ValueError(f"{path}:{lineno}: expected start,end[,label]")
             try:
                 start, end = float(row[0]), float(row[1])
             except ValueError:
-                if first_row:
+                if seen == 1:
                     continue  # header row
                 raise ValueError(f"{path}:{lineno}: non-numeric interval bounds")
             if not end > start:
