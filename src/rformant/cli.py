@@ -35,7 +35,7 @@ from .isochrony import (
     rpvi,
     wagner_pairs,
 )
-from .lts import AEMS, AMS, FEMS
+from .lts import AEMS, AMS, DOMAINS, FEMS
 from .pipeline import PAIRS, analyze_clip
 from .plots import clip_figure, dendrogram_figure
 from .report import check_mergeable, table, to_json
@@ -49,6 +49,11 @@ DOMAIN_FLAGS = {"ams": AMS, "aems": AEMS, "fems": FEMS}
 
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
+
+
+def _print_notes(label: str, notes) -> None:
+    for note in notes:
+        print(f"warning: {label}: {note}", file=sys.stderr)
 
 
 def _out_dir(args) -> Path:
@@ -141,10 +146,9 @@ def cmd_analyze(args) -> int:
     columns = [f"bin_{i}" for i in range(cfg.n_bins)]
 
     def run(path):
-        """Analyze and write one clip; return its label, summary line and
-        domain bins (None without that domain), or the clip's error."""
+        """Analyze and write one clip; return its label, summary line, domain
+        bins (None without that domain) and notes, or the clip's error."""
         try:
-            # short-clip warnings go to stderr; output files are unaffected
             rep = analyze_clip(path, cfg)
         except ValueError as exc:  # AudioFileError is a ValueError
             return exc
@@ -153,9 +157,10 @@ def cmd_analyze(args) -> int:
         _write(out / f"{rep.label}_bins.csv",
                _bins_csv([(d, p.bins) for d, p in rep.profiles.items()], columns))
         _write(out / f"{rep.label}_panels.svg", clip_figure(rep, cfg))
-        note = " [FEMS absent]" if rep.fems_absent else ""
+        absent = [d for d in DOMAINS if d not in rep.profiles]
+        note = f" [{', '.join(absent)} absent]" if absent else ""
         bins = rep.profiles[domain].bins if domain in rep.profiles else None
-        return rep.label, f"{rep.label}: {rep.duration_s:.2f} s{note}", bins
+        return rep.label, f"{rep.label}: {rep.duration_s:.2f} s{note}", bins, rep.notes
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(run, paths))
@@ -163,10 +168,11 @@ def cmd_analyze(args) -> int:
     done = sorted((r for r in results if not isinstance(r, Exception)), key=lambda r: r[0])
 
     if done:
-        rows = [(label, bins) for label, _, bins in done if bins is not None]
+        rows = [(label, bins) for label, _, bins, _ in done if bins is not None]
         _write(out / "combined_bins.csv", _bins_csv(rows, columns, key="label"))
-    for _, line, _ in done:
+    for label, line, _, notes in done:
         print(line)
+        _print_notes(label, notes)
     for path, exc in failures:
         # a file error already starts with its path; an analysis error does not
         named = exc if isinstance(exc, AudioFileError) else f"{path}: {exc}"
@@ -295,9 +301,10 @@ def cmd_calibrate(args) -> int:
     lo, hi, center = predict_formant_range(word_rates["rate_hz"], syll_rates["rate_hz"])
 
     report = analyze_clip(args.wav, cfg)
+    _print_notes(report.label, report.notes)
+    if AMS not in report.profiles:
+        raise ValueError(f"{report.label}: no AMS profile to calibrate against")
     peaks = [f for f, _ in report.profiles[AMS].peaks]
-    if not peaks:
-        raise ValueError("no spectral peaks to calibrate against")
     measured_lo, measured_hi = min(peaks), max(peaks)
     measured_center = (measured_lo + measured_hi) / 2.0
     err = abs(center - measured_center)

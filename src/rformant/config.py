@@ -45,11 +45,11 @@ class AnalysisConfig:
                 f"f0_min_hz must be at least {2000.0 / F0_FRAME_MS:g}, so that the "
                 f"{F0_FRAME_MS:g} ms F0 frame spans two periods; got {self.f0_min_hz}"
             )
-        for name in ("n_peaks", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.n_bins < 1:
-            raise ValueError("n_bins must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        for name in ("n_peaks", "n_bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.mantel_permutations < 99:
             raise ValueError("mantel_permutations must be at least 99")
         if not self.f0_min_hz < self.f0_max_hz:

@@ -59,6 +59,10 @@ class Track:
             if abs(mean) > 1e-9:
                 raise ValueError(f"continuized F0 must be mean-subtracted (mean {mean:g})")
 
+    @property
+    def duration(self) -> float:
+        return self.values.size / self.rate
+
     def times(self) -> np.ndarray:
         """Sample times in seconds."""
         return np.arange(self.values.size) / self.rate
@@ -211,9 +215,7 @@ def amdf_f0(
         tau_star = int(taus[i_star])
         thresh = floor + 0.05 * (level[f] - floor)
         for k in range(tau_star // tau_min, 1, -1):
-            cand = int(round(tau_star / k))
-            if cand < tau_min:
-                continue
+            cand = int(round(tau_star / k))  # k <= tau_star // tau_min, so cand >= tau_min
             lo = max(0, cand - tau_min - 1)
             hi = min(taus.size, cand - tau_min + 2)
             i_best = min(range(lo, hi), key=row.__getitem__)

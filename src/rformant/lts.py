@@ -10,7 +10,6 @@ near-flat baseline for peak picking.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ DOMAINS = (AMS, AEMS, FEMS)
 
 LOG_FLOOR = 1e-12
 MIN_SERIES_S = 1.0  # shortest series with a spectrum to analyze
+SHORT_SERIES_S = 3.0  # shorter series give coarse low-frequency resolution
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,6 @@ def long_term_spectrum(series, domain: str, label: str = "") -> LongTermSpectrum
     duration = values.size / rate
     if duration < MIN_SERIES_S:
         raise ValueError(f"series of {duration:.3f} s is too short to analyze")
-    if duration < 3.0:
-        # naming the clip keeps the warning distinct per clip, so Python's
-        # once-per-location filter does not hide it after the first clip
-        who = f"{label} {domain}" if label else domain
-        warnings.warn(
-            f"{who}: series of {duration:.3f} s is under 3 s; "
-            "low-frequency resolution will be coarse",
-            stacklevel=2,
-        )
     coefs = np.fft.rfft(values - values.mean())
     freqs = np.fft.rfftfreq(values.size, d=1.0 / rate)
     # drop the 0 Hz bin: only positive frequencies are meaningful here

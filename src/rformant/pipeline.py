@@ -3,14 +3,13 @@
 Chains the stages in the canonical order: load and trim, rectify, three
 demodulation branches (decimated rectified signal, peak-picked envelope,
 continuized F0), a long-term spectrum per branch, detrending over the
-analysis band, and R-formant profile extraction. An utterance with no
-voiced frames, or with an F0 track under MIN_SERIES_S, has no FM branch;
-the report marks FEMS absent rather than failing.
+analysis band, and R-formant profile extraction. A domain with nothing to
+profile (FEMS without voiced frames or with an F0 track under MIN_SERIES_S,
+any domain with a flat spectrum) is absent, and the report's notes say why.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,8 @@ from .demodulation import (
     envelope_peak_pick,
     rectify,
 )
-from .lts import AEMS, AMS, FEMS, MIN_SERIES_S, LongTermSpectrum, long_term_spectrum, normalize_log_detrend
+from .lts import (AEMS, AMS, FEMS, MIN_SERIES_S, SHORT_SERIES_S, LongTermSpectrum,
+                  long_term_spectrum, normalize_log_detrend)
 from .profiles import (
     RFormantProfile,
     rhythm_bars,
@@ -36,6 +36,7 @@ from .stats import pearson_r
 
 PAIRS = ("AMS:AEMS", "AMS:FEMS", "AEMS:FEMS")
 AMS_RATE_HZ = 200.0  # rate of the AMS series, the block-mean rectified signal
+FLAT_RANGE = 1e-9  # a detrended residual spanning no more than this has no R-formant
 
 
 @dataclass
@@ -53,10 +54,7 @@ class UtteranceReport:
     signal: SignalBuffer
     envelope: Track
     f0_track: Track
-
-    @property
-    def fems_absent(self) -> bool:
-        return FEMS not in self.profiles
+    notes: tuple[str, ...] = ()  # why a domain is absent or a series short
 
 
 def profile(spec: LongTermSpectrum, n: int = 6, n_bins: int = 10) -> RFormantProfile:
@@ -92,20 +90,28 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         f0_min=cfg.f0_min_hz,
         f0_max=cfg.f0_max_hz,
     )
-    if np.any(f0.values != UNVOICED):  # no voiced frames: FM branch absent
-        f0_s = f0.values.size / f0.rate  # F0 framing drops a clip's last partial frame
-        if f0_s >= MIN_SERIES_S:
-            series[FEMS] = continuize_f0(f0)
-        else:
-            warnings.warn(f"{sig.label} FEMS: F0 track of {f0_s:.3f} s is under "
-                          f"{MIN_SERIES_S:g} s; FEMS absent", stacklevel=2)
+    fems_note = None
+    if not np.any(f0.values != UNVOICED):
+        fems_note = "FEMS absent: no voiced frames"
+    elif f0.duration < MIN_SERIES_S:  # F0 framing drops a clip's last partial frame
+        fems_note = f"FEMS absent: F0 track of {f0.duration:.3f} s is under {MIN_SERIES_S:g} s"
+    else:
+        series[FEMS] = continuize_f0(f0)
 
-    spectra, profs, bars = {}, {}, {}
+    spectra, profs, bars, notes = {}, {}, {}, []
     for domain, s in series.items():
         spec = normalize_log_detrend(long_term_spectrum(s, domain, sig.label), cfg.band)
+        if np.ptp(spec.residual) <= FLAT_RANGE:
+            notes.append(f"{domain} absent: flat spectrum")
+            continue
+        if s.duration < SHORT_SERIES_S:
+            notes.append(f"{domain}: series of {s.duration:.3f} s is under {SHORT_SERIES_S:g} s; "
+                         "low-frequency resolution will be coarse")
         spectra[domain] = spec
         profs[domain] = profile(spec, cfg.n_peaks, cfg.n_bins)
         bars[domain] = rhythm_bars(spec)
+    if fems_note:
+        notes.append(fems_note)
 
     pearson: dict[str, float | None] = {}
     for pair in PAIRS:
@@ -114,7 +120,7 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
             try:
                 pearson[pair] = pearson_r(profs[da].bins, profs[db].bins)
             except ValueError:
-                pearson[pair] = None  # degenerate all-zero bins
+                pearson[pair] = None  # constant bins have no variance to correlate
         else:
             pearson[pair] = None
 
@@ -130,6 +136,7 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         signal=sig,
         envelope=envelope,
         f0_track=f0,
+        notes=tuple(notes),
     )
 
 

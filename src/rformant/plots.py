@@ -112,7 +112,7 @@ def spectrum_panel(spec: LongTermSpectrum, bars) -> Panel:
 def histogram_panel(bins, band, title: str) -> Panel:
     p = Panel(title)
     bins = np.asarray(bins, dtype=np.float64)
-    top = float(bins.max()) if bins.size and bins.max() > 0 else 1.0
+    top = float(bins.max())
     width = (p.x1 - p.x0) / bins.size
     for i, b in enumerate(bins):
         h = (p.y1 - p.y0) * (b / top)
@@ -232,10 +232,8 @@ def dendrogram_figure(tree, bins_by_label: dict, band) -> str:
         parts.append(
             f'<text x="{_n(x)}" y="{base + 10}" text-anchor="middle">{label}</text>'
         )
-        bins = np.asarray(bins_by_label.get(label, []), dtype=np.float64)
-        if bins.size == 0:
-            continue
-        top = float(bins.max()) if bins.max() > 0 else 1.0
+        bins = np.asarray(bins_by_label[label], dtype=np.float64)
+        top = float(bins.max())
         bw = (slot - 12) / bins.size
         left = PAD + i * slot + 6
         for bi, b in enumerate(bins):

@@ -42,8 +42,8 @@ class RFormantProfile:
         if np.any(self.bins < 0):
             raise ValueError("bins must be nonnegative")
         total = float(self.bins.sum())
-        if total != 0.0 and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"bins must sum to 1 (or all be 0), got {total}")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"bins must sum to 1, got {total}")
         prev = None
         for f, w in self.peaks:
             if not lo <= f <= hi:
@@ -88,9 +88,7 @@ def weighted_bins(
     """Histogram of peak weights over equal-width bins spanning the band.
 
     A peak exactly on the top edge counts into the last bin. The result is
-    normalized to sum 1.0. No peaks, or total weight at numerical-noise
-    level (a flat residual, e.g. from silence), gives all zeros instead of
-    normalized dust.
+    normalized to sum 1.0, so the peaks must carry some weight.
     """
     lo, hi = band
     if not lo < hi:
@@ -105,9 +103,7 @@ def weighted_bins(
         idx = min(int((f - lo) // width), n_bins - 1)
         bins[idx] += w
     total = bins.sum()
-    if total > 1e-9:
-        bins /= total
-    else:
-        bins[:] = 0.0
-    return bins
+    if total <= 0:
+        raise ValueError("peaks carry no weight to normalize")
+    return bins / total
 

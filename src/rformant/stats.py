@@ -151,13 +151,9 @@ def correlation_summary(per_utterance_r: dict) -> dict:
     if not per_utterance_r:
         raise ValueError("no correlations to summarize")
     items = sorted(per_utterance_r.items())
-    min_label, min_r = items[0]
-    max_label, max_r = items[0]
-    for label, r in items[1:]:
-        if r < min_r:
-            min_label, min_r = label, r
-        if r > max_r:
-            max_label, max_r = label, r
+    # min and max keep the first of equal values: the smallest label
+    min_label, min_r = min(items, key=lambda item: item[1])
+    max_label, max_r = max(items, key=lambda item: item[1])
     return {
         "mean_r": sum(r for _, r in items) / len(items),
         "min_label": min_label,

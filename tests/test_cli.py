@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -51,6 +52,13 @@ def read(path):
     return path.read_bytes()
 
 
+def _cli_env():
+    """The environment for a CLI subprocess that imports this rformant."""
+    src = str(Path(rformant.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 # ---- analyze ----
 
 
@@ -71,17 +79,17 @@ def test_analyze_report_schema(analyzed):
 
 
 def test_analyze_silence_marks_fems_absent(analyzed):
+    # a flat spectrum has no R-formant: every domain is absent, none has zero bins
     rep = json.loads(read(analyzed / "quiet_report.json"))
-    assert rep["domains"]["FEMS"] == {"present": False}
-    assert rep["domains"]["AMS"]["bins"] == [0.0] * 10
-    assert rep["pearson"]["AMS:FEMS"] is None
+    assert rep["domains"] == {d: {"present": False} for d in ("AMS", "AEMS", "FEMS")}
+    assert set(rep["pearson"].values()) == {None}
 
 
 def test_combined_bins_sorted_and_shaped(analyzed):
     lines = read(analyzed / "combined_bins.csv").decode().splitlines()
     assert lines[0] == "label," + ",".join(f"bin_{i}" for i in range(10))
     labels = [l.split(",")[0] for l in lines[1:]]
-    assert labels == sorted(labels) == ["alpha", "bravo", "carol", "quiet"]
+    assert labels == sorted(labels) == ["alpha", "bravo", "carol"]  # quiet has no AMS
     assert all(len(l.split(",")) == 11 for l in lines[1:])
 
 
@@ -184,22 +192,54 @@ def test_malformed_band_exit_2(clips, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_trim_flag_limits_duration(clips, tmp_path):
+def test_trim_flag_limits_duration(clips, tmp_path, capsys):
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="under 3 s"):
-        assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1.5"]) == 0
+    assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1.5"]) == 0
     assert json.loads(read(out / "alpha_report.json"))["duration_s"] == 1.5
+    assert "warning: alpha: AMS: series of 1.500 s is under 3 s" in capsys.readouterr().err
 
 
 def test_one_second_voiced_clip_drops_only_fems(clips, tmp_path, capsys):
     # the F0 track of a 1 s clip is 0.97 s long, under the 1 s spectrum minimum
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="alpha FEMS: F0 track of 0.9[0-9]+ s is under 1 s"):
-        assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1"]) == 0
+    assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--trim", "1"]) == 0
     domains = json.loads(read(out / "alpha_report.json"))["domains"]
     assert domains["AMS"]["present"] and domains["AEMS"]["present"]
     assert domains["FEMS"] == {"present": False}
-    assert "alpha: 1.00 s [FEMS absent]" in capsys.readouterr().out
+    std = capsys.readouterr()
+    assert "alpha: 1.00 s [FEMS absent]" in std.out
+    assert re.search(r"^warning: alpha: FEMS absent: F0 track of 0\.9[0-9]+ s is under 1 s$",
+                     std.err, re.M)
+
+
+def test_analyze_notes_are_ordered_by_label_at_every_jobs_count(tmp_path):
+    # five 2.5 s clips, one of them silent: every clip has notes, and clips
+    # finish in an order that depends on the thread pool
+    clips = {"quiet": np.zeros(int(2.5 * RATE))}
+    clips.update((f"s{i}", am_tone(200.0 + 10 * i, 3.0 + i, 2.5, RATE) * 0.9) for i in range(4))
+    for name, x in clips.items():
+        write_wav(tmp_path / f"{name}.wav", RATE, x)
+    wavs = [str(tmp_path / f"{name}.wav") for name in clips]
+    runs = [subprocess.run([sys.executable, "-m", "rformant.cli", "analyze", *wavs,
+                            "--out", str(tmp_path / f"o{k}"), "--jobs", jobs],
+                           env=_cli_env(), capture_output=True, text=True)
+            for k, jobs in enumerate(("2", "2", "1"))]
+    assert [r.returncode for r in runs] == [0, 0, 0]
+    err = runs[0].stderr
+    assert all(r.stderr == err for r in runs[1:])
+    assert "UserWarning" not in err and ".py:" not in err
+    labels = [line.split(": ")[1] for line in err.splitlines()]
+    assert all(line.startswith("warning: ") for line in err.splitlines())
+    assert labels == sorted(labels) and set(labels) == {"quiet", "s0", "s1", "s2", "s3"}
+    assert "warning: quiet: AMS absent: flat spectrum\n" in err
+    assert "quiet: 2.50 s [AMS, AEMS, FEMS absent]" in runs[0].stdout
+
+
+def test_analyze_peaks_zero_refused_before_any_work(clips, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["analyze", str(clips / "alpha.wav"), "--out", str(out), "--peaks", "0"]) == 2
+    assert capsys.readouterr().err == "error: n_peaks must be at least 1\n"
+    assert not out.exists()
 
 
 def test_domain_flag_selects_combined_bins(analyzed, clips, tmp_path):
@@ -334,19 +374,22 @@ def test_compare_missing_file_exit_2(tmp_path):
 # ---- cluster ----
 
 
-def test_cluster_outputs(analyzed, tmp_path):
+def test_cluster_outputs(analyzed, tmp_path, capsys):
     reports = [str(analyzed / f"{n}_report.json")
                for n in ("alpha", "bravo", "carol", "quiet")]
     out = tmp_path / "clu"
     assert main(["cluster", *reports, "--out", str(out)]) == 0
+    # the silent clip has no AMS profile, so it is left out of the tree
+    assert "warning: quiet: no AMS profile; excluded" in capsys.readouterr().err
     dm = read(out / "distance_matrix.csv").decode().splitlines()
-    assert dm[0] == "label,alpha,bravo,carol,quiet"
-    assert len(dm) == 5
+    assert dm[0] == "label,alpha,bravo,carol"
+    assert len(dm) == 4
     newick = read(out / "dendrogram.nwk").decode().strip()
     assert newick.endswith(";")
-    assert newick.count("(") == newick.count(")") == 3
-    for name in ("alpha", "bravo", "carol", "quiet"):
+    assert newick.count("(") == newick.count(")") == 2
+    for name in ("alpha", "bravo", "carol"):
         assert name in newick
+    assert "quiet" not in newick
     svg = read(out / "dendrogram.svg").decode()
     ET.fromstring(svg)  # well-formed XML
 
@@ -410,7 +453,8 @@ def test_non_finite_report_bins_exit_2(analyzed, tmp_path, capsys, command):
     ("no_bins", "error: report 'bravo': AEMS: present but has no bins"),
     ("no_flag", "error: report 'bravo': AEMS: entry has no 'present' flag"),
     ("list", "report domains must be a JSON object"),
-], ids=["no_bins", "no_flag", "list"])
+    ("zero_bins", "error: report 'bravo': AEMS: bins must sum to 1, got 0.0"),
+], ids=["no_bins", "no_flag", "list", "zero_bins"])
 @pytest.mark.parametrize("command", ["compare", "cluster"])
 def test_malformed_report_domains_exit_2(analyzed, tmp_path, capsys, command, broken,
                                          message):
@@ -419,6 +463,8 @@ def test_malformed_report_domains_exit_2(analyzed, tmp_path, capsys, command, br
         del rep["domains"]["AEMS"]["bins"]
     elif broken == "no_flag":
         del rep["domains"]["AEMS"]["present"]
+    elif broken == "zero_bins":  # as reports of flat spectra were once written
+        rep["domains"]["AEMS"]["bins"] = [0.0] * 10
     else:
         rep["domains"] = list(rep["domains"].values())
     bad = tmp_path / "bravo_broken_report.json"
@@ -628,6 +674,17 @@ def test_calibrate_ignores_pause_rows(clips, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_calibrate_silent_clip_exit_2(clips, tmp_path, capsys):
+    w = tmp_path / "w.csv"
+    w.write_text("0,0.5,a\n0.5,1.0,b\n")
+    out = tmp_path / "o"
+    assert main(["calibrate", str(clips / "quiet.wav"), str(w), str(w), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "warning: quiet: AMS absent: flat spectrum\n" in err
+    assert err.endswith("error: quiet: no AMS profile to calibrate against\n")
+    assert not out.exists()
+
+
 def test_calibrate_missing_wav_exit_2(tmp_path):
     w = tmp_path / "w.csv"
     w.write_text("0,0.5,a\n0.5,1.0,b\n")
@@ -716,11 +773,8 @@ def test_unknown_flag_before_subcommand_is_refused_by_top_level_parser(tmp_path,
 
 def test_cli_import_does_not_load_scipy():
     # every compare and cluster call pays the CLI's import time
-    src = str(Path(rformant.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     code = ("import sys, rformant.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -27,6 +27,7 @@ def test_defaults():
         {"trim_s": float("inf")},
         {"band_hi_hz": float("nan")},
         {"f0_min_hz": 40.0},  # the 40 ms F0 frame must span two periods
+        {"n_peaks": 0},
     ],
 )
 def test_rejects_bad_values(kwargs):

@@ -17,6 +17,7 @@ from rformant.lts import (
     long_term_spectrum,
     normalize_log_detrend,
 )
+from rformant.pipeline import analyze_signal
 
 from conftest import am_tone, sine
 
@@ -53,9 +54,11 @@ def test_short_series_rejected():
 
 
 def test_under_three_seconds_warns():
+    # the spectrum itself is plain; the pipeline notes the coarse resolution
     sig = SignalBuffer(np.abs(sine(5, 2.0, 200, amp=0.8)) + 0.1, 200.0, "w")
-    with pytest.warns(UserWarning, match="under 3 s"):
-        long_term_spectrum(sig, AMS)
+    assert long_term_spectrum(sig, AMS).delta_f == pytest.approx(0.5)
+    notes = analyze_signal(SignalBuffer(am_tone(220.0, 4.0, 2.0, 8000), 8000.0, "w")).notes
+    assert "AMS: series of 2.000 s is under 3 s; low-frequency resolution will be coarse" in notes
 
 
 def test_domain_series_pairing_enforced():

@@ -1,5 +1,4 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ def am_report():
 def test_all_domains_present_for_modulated_tone(am_report):
     assert set(am_report.spectra) == set(DOMAINS)
     assert set(am_report.profiles) == set(DOMAINS)
-    assert not am_report.fems_absent
+    assert am_report.notes == ()
 
 
 def test_am_rate_recovered_in_both_amplitude_domains(am_report):
@@ -77,17 +76,15 @@ def test_json_dict_shape(am_report):
 
 
 def test_silence_drops_fems_and_correlations():
-    sig = SignalBuffer(samples=np.zeros(5 * RATE), rate=RATE, label="quiet")
-    rep = analyze_signal(sig)
-    assert rep.fems_absent
-    assert FEMS not in rep.spectra
-    assert np.all(rep.profiles[AMS].bins == 0.0)
-    assert rep.pearson["AMS:FEMS"] is None
-    assert rep.pearson["AEMS:FEMS"] is None
-    # both amplitude-domain bin vectors are flat zero: no variance to correlate
-    assert rep.pearson["AMS:AEMS"] is None
-    d = json.loads(report.to_json(rep))
-    assert d["domains"][FEMS] == {"present": False}
+    # silence and DC have flat spectra: no R-formant in any domain, one note each
+    for x in (np.zeros(5 * RATE), np.full(5 * RATE, 0.1)):
+        rep = analyze_signal(SignalBuffer(samples=x, rate=RATE, label="quiet"))
+        assert rep.profiles == rep.spectra == rep.bars == {}
+        assert rep.notes == ("AMS absent: flat spectrum", "AEMS absent: flat spectrum",
+                             "FEMS absent: no voiced frames")
+        assert set(rep.pearson.values()) == {None}
+        d = json.loads(report.to_json(rep))
+        assert d["domains"] == {domain: {"present": False} for domain in DOMAINS}
 
 
 def test_fm_branch_errors_are_not_swallowed(monkeypatch):
@@ -140,9 +137,7 @@ def _vibrato(t):
 @pytest.mark.parametrize("rate", [16000, 22050, 44100, 48000])
 def test_f0_of_a_vibrato_voice_is_rate_invariant(rate):
     x = harmonic_voice(_vibrato, rate, 3.0, syllable_hz=6.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # 3 s is under the coarse-resolution warning
-        track = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="v")).f0_track
+    track = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="v")).f0_track
     truth = _vibrato(0.02 + track.times())  # contour at the frame centres
     voiced = track.values > 0
     assert voiced.mean() >= 0.8
@@ -156,9 +151,7 @@ def test_voicing_of_a_vibrato_voice_is_rate_invariant():
     fractions = []
     for rate in (16000, 22050, 44100, 48000):
         x = harmonic_voice(_vibrato, rate, 3.0, syllable_hz=6.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # 3 s is under the coarse-resolution warning
-            rep = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="v"))
+        rep = analyze_signal(SignalBuffer(samples=x, rate=float(rate), label="v"))
         fractions.append(float(np.mean(rep.f0_track.values > 0)))
     assert max(fractions) - min(fractions) <= 0.02, fractions
 
@@ -226,9 +219,10 @@ def test_trim_applies_when_loading(tmp_path):
 
 def test_short_clip_warns_but_completes():
     x = am_tone(220.0, 4.0, 2.0, RATE)
-    sig = SignalBuffer(samples=x, rate=RATE, label="short")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = analyze_signal(sig)
-    assert any(issubclass(w.category, UserWarning) for w in caught)
-    assert AMS in rep.profiles
+    rep = analyze_signal(SignalBuffer(samples=x, rate=RATE, label="short"))
+    assert set(rep.profiles) == set(DOMAINS)
+    # one note per series under 3 s; F0 framing makes the FEMS series shorter
+    assert [note.split(":")[0] for note in rep.notes] == list(DOMAINS)
+    assert rep.notes[0] == ("AMS: series of 2.000 s is under 3 s; "
+                            "low-frequency resolution will be coarse")
+    assert rep.notes[2].startswith("FEMS: series of 1.9")

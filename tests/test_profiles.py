@@ -115,7 +115,10 @@ def test_weighted_bins_top_edge_clamps():
 
 
 def test_weighted_bins_empty_and_errors():
-    assert np.array_equal(weighted_bins([], (1.0, 11.0), 10), np.zeros(10))
+    # bins always sum to 1, so peaks without weight are refused
+    for peaks in ([], [(2.0, 0.0), (3.0, 0.0)]):
+        with pytest.raises(ValueError, match="no weight"):
+            weighted_bins(peaks, (1.0, 11.0), 10)
     with pytest.raises(ValueError):
         weighted_bins([(0.5, 1.0)], (1.0, 11.0), 10)
     with pytest.raises(ValueError):
@@ -125,11 +128,9 @@ def test_weighted_bins_empty_and_errors():
 
 
 def test_profile_composition_and_zero_peaks():
-    # curved shape: a straight line detrends to dust and zeroes the bins
     spec = spectrum_from_log_shape(np.arange(1.0, 11.0), np.linspace(0, 1, 10) ** 2)
-    prof = profile(spec, n=0, n_bins=10)
-    assert prof.peaks == ()
-    assert np.array_equal(prof.bins, np.zeros(10))
+    with pytest.raises(ValueError):  # no peaks, nothing to normalize
+        profile(spec, n=0, n_bins=10)
     prof6 = profile(spec, n=6, n_bins=10)
     assert len(prof6.peaks) == 6
     assert abs(prof6.bins.sum() - 1.0) < 1e-9
@@ -180,6 +181,8 @@ def test_profile_validation():
         RFormantProfile("u", AMS, (), bad, (1.0, 10.0), 10)
     with pytest.raises(ValueError):
         RFormantProfile("u", "Q", (), np.zeros(10), (1.0, 10.0), 10)
+    with pytest.raises(ValueError, match="bins must sum to 1, got 0.0"):
+        RFormantProfile("u", AMS, (), np.zeros(10), (1.0, 10.0), 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
