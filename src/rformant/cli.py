@@ -141,6 +141,8 @@ def cmd_analyze(args) -> int:
     stems = [Path(p).stem for p in paths]  # each clip's label, as load_wav names it
     if len(set(stems)) != len(stems):
         raise ValueError("duplicate clip labels in batch")
+    if "combined" in stems:  # its bins table would be replaced by the batch's
+        raise ValueError("clip label 'combined' is reserved for combined_bins.csv")
     out = _out_dir(args)
     domain = DOMAIN_FLAGS[args.domain]
     columns = [f"bin_{i}" for i in range(cfg.n_bins)]

@@ -14,7 +14,8 @@ import numpy as np
 
 from .stats import DistanceMatrix
 
-_NEWICK_UNSAFE = set("(),:;'\"\t\n ")
+# characters a bare Newick label may not hold; "[" and "]" open and close comments
+_NEWICK_UNSAFE = set("(),:;[]'\"\t\n ")
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,18 @@ class Dendrogram:
             sizes[m + k] = size
 
     @property
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        """The leaf ids under each node id, left child's leaves first; the
+        last entry is the root's, the leaves in drawing order."""
+        groups = [(i,) for i in range(len(self.labels))]
+        for li, ri, _, _ in self.links:
+            groups.append(groups[li] + groups[ri])
+        return tuple(groups)
+
+    @property
     def merges(self) -> tuple[tuple[str, str, float, int], ...]:
         """The links with each node named by its leaf labels, left child first."""
-        names = list(self.labels)
-        for li, ri, _, _ in self.links:
-            names.append(names[li] + names[ri])
+        names = ["".join(self.labels[i] for i in group) for group in self.groups]
         return tuple((names[li], names[ri], d, size) for li, ri, d, size in self.links)
 
 
@@ -92,47 +100,37 @@ def upgma(d: DistanceMatrix) -> Dendrogram:
     return Dendrogram(labels=labels, links=tuple(links))
 
 
+def _newick_label(label: str) -> str:
+    """A label bare, or single-quoted with each ' doubled when it is empty
+    or holds a character that Newick reserves."""
+    if label and not set(label) & _NEWICK_UNSAFE:
+        return label
+    return "'" + label.replace("'", "''") + "'"
+
+
 def to_newick(t: Dendrogram) -> str:
     """Serialize as Newick with ultrametric branch lengths.
 
     A node merged at distance D sits at height D/2; each branch length is
     the height difference to the parent, so leaf-to-leaf path lengths
-    reproduce the merge distances.
+    reproduce the merge distances. A label that Newick cannot hold bare is
+    single-quoted.
     """
-    for label in t.labels:
-        if not label or set(label) & _NEWICK_UNSAFE:
-            raise ValueError(f"label {label!r} cannot be written as Newick")
-    m = len(t.labels)
-    height = {nid: 0.0 for nid in range(m)}
-    children = {}
-    for idx, (li, ri, dist, _) in enumerate(t.links):
-        nid = m + idx
-        height[nid] = dist / 2.0
-        children[nid] = (li, ri)
-
-    def render(nid: int, parent_height: float) -> str:
-        branch = format(float(parent_height - height[nid]), ".12g")
-        if nid < m:
-            return f"{t.labels[nid]}:{branch}"
-        li, ri = children[nid]
-        h = height[nid]
-        return f"({render(li, h)},{render(ri, h)}):{branch}"
-
-    root = m + len(t.links) - 1
-    li, ri = children[root]
-    h = height[root]
-    return f"({render(li, h)},{render(ri, h)});"
+    nodes = [(_newick_label(label), 0.0) for label in t.labels]  # (text, height) by id
+    for li, ri, dist, _ in t.links:
+        h = dist / 2.0
+        left, right = (f"{text}:{format(float(h - child_h), '.12g')}"
+                       for text, child_h in (nodes[li], nodes[ri]))
+        nodes.append((f"({left},{right})", h))
+    return nodes[-1][0] + ";"
 
 
 def cophenetic_matrix(t: Dendrogram) -> DistanceMatrix:
     """Leaf-pair distances implied by the tree: the height pairs join at."""
     m = len(t.labels)
-    members = {nid: [nid] for nid in range(m)}
+    groups = t.groups
     coph = np.zeros((m, m))
-    for idx, (li, ri, dist, _) in enumerate(t.links):
-        left, right = members.pop(li), members.pop(ri)
-        for a in left:
-            for b in right:
-                coph[a, b] = coph[b, a] = dist
-        members[m + idx] = left + right
+    for li, ri, dist, _ in t.links:
+        coph[np.ix_(groups[li], groups[ri])] = dist
+        coph[np.ix_(groups[ri], groups[li])] = dist
     return DistanceMatrix(t.labels, coph)

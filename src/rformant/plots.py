@@ -1,22 +1,25 @@
 """Self-contained SVG figures, written byte-deterministically.
 
 No timestamps, no external fonts, no randomness: the same analysis
-produces the same bytes. Each figure is a vertical stack of fixed-size
-panels; coordinates are rounded to hundredths of a pixel.
+produces the same bytes. A clip's figure is a vertical stack of
+fixed-size panels, each a (title, parts, lo_text, hi_text) tuple; a
+cohort's is a dendrogram with each leaf's R-formant histogram under it.
+Every text is escaped, so a label may hold &, < or >. Coordinates are
+rounded to hundredths of a pixel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .audio_io import SignalBuffer
-from .demodulation import Track
-from .lts import DOMAINS, LongTermSpectrum
+from .lts import DOMAINS
 
 PANEL_W = 640
 PANEL_H = 130
 PAD = 34
 GAP = 14
+X0, X1 = PAD, PANEL_W - 8  # a panel's frame, in the panel's own pixels
+Y0, Y1 = 16, PANEL_H - 18  # y grows downward: Y1 is the bottom
 
 _STYLE = (
     "text{font-family:monospace;font-size:10px;fill:#222}"
@@ -32,9 +35,24 @@ def _n(x) -> str:
     return format(float(x), ".2f")
 
 
+def _text(x, y, text: str, anchor: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f'<text x="{x}" y="{y}"{anchor}>{text}</text>'
+
+
 def _polyline(xs, ys, cls) -> str:
     pts = " ".join(f"{_n(x)},{_n(y)}" for x, y in zip(xs, ys))
     return f'<polyline class="{cls}" points="{pts}"/>'
+
+
+def _boxes(bins, lefts, box_w, base, tall) -> list[str]:
+    """One box per bin at its left edge, standing on y = base; the largest
+    bin is tall pixels high."""
+    bins = np.asarray(bins, dtype=np.float64)
+    heights = tall * (bins / bins.max())
+    return [f'<rect class="box" x="{_n(x)}" y="{_n(base - h)}" width="{_n(box_w)}" '
+            f'height="{_n(h)}"/>' for x, h in zip(lefts.tolist(), heights.tolist())]
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -44,125 +62,63 @@ def _scale(values, lo, hi, out_lo, out_hi):
     return out_lo + (values - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-class Panel:
-    """One titled plotting area with a frame and pixel mapping."""
-
-    def __init__(self, title: str):
-        self.title = title
-        self.parts: list[str] = []
-        self.x0, self.x1 = PAD, PANEL_W - 8
-        self.y0, self.y1 = 16, PANEL_H - 18
-
-    def xmap(self, v, lo, hi):
-        return _scale(v, lo, hi, self.x0, self.x1)
-
-    def ymap(self, v, lo, hi):
-        return _scale(v, lo, hi, self.y1, self.y0)  # y grows downward
-
-    def render(self, y_offset: int) -> str:
-        frame = (
-            f'<rect class="frame" x="{self.x0}" y="{self.y0}" '
-            f'width="{self.x1 - self.x0}" height="{self.y1 - self.y0}"/>'
-        )
-        title = f'<text x="{self.x0}" y="11">{self.title}</text>'
-        body = "".join(self.parts)
-        return f'<g transform="translate(0,{y_offset})">{title}{frame}{body}</g>'
-
-    def xlabel(self, lo_text: str, hi_text: str):
-        y = self.y1 + 12
-        self.parts.append(f'<text x="{self.x0}" y="{y}">{lo_text}</text>')
-        self.parts.append(
-            f'<text x="{self.x1}" y="{y}" text-anchor="end">{hi_text}</text>'
-        )
-
-
-def _decimate(x: np.ndarray, limit: int) -> np.ndarray:
-    if x.size <= limit:
-        return x
-    step = int(np.ceil(x.size / limit))
-    return x[::step]
-
-
-def waveform_panel(sig: SignalBuffer, envelope: Track) -> Panel:
-    p = Panel(f"waveform: {sig.label}")
-    x = _decimate(sig.samples, 1600)
-    t = np.arange(x.size) * (sig.duration / max(1, x.size - 1) if x.size > 1 else 0)
-    p.parts.append(_polyline(p.xmap(t, 0, sig.duration), p.ymap(x, -1, 1), "trace"))
-    et = envelope.times()
-    p.parts.append(
-        _polyline(p.xmap(et, 0, sig.duration), p.ymap(envelope.values, -1, 1), "over")
+def _svg(width, height, parts) -> str:
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}"><style>{_STYLE}</style>' + "".join(parts) + "</svg>\n"
     )
-    p.xlabel("0 s", f"{sig.duration:.2f} s")
-    return p
 
 
-def spectrum_panel(spec: LongTermSpectrum, bars) -> Panel:
-    p = Panel(f"{spec.domain} spectrum: {spec.label}")
+def _panel(k: int, title: str, parts, lo_text: str, hi_text: str) -> str:
+    """Panel k of a stack: title, frame, parts, then the x axis end labels."""
+    frame = f'<rect class="frame" x="{X0}" y="{Y0}" width="{X1 - X0}" height="{Y1 - Y0}"/>'
+    axis = _text(X0, Y1 + 12, lo_text) + _text(X1, Y1 + 12, hi_text, "end")
+    return (f'<g transform="translate(0,{GAP + k * (PANEL_H + GAP)})">'
+            + _text(X0, 11, title) + frame + "".join(parts) + axis + "</g>")
+
+
+def waveform_panel(sig, envelope) -> tuple:
+    x = sig.samples[::max(1, -(-sig.samples.size // 1600))]  # at most 1600 points
+    t = np.arange(x.size) * (sig.duration / (x.size - 1) if x.size > 1 else 0)
+    parts = [
+        _polyline(_scale(t, 0, sig.duration, X0, X1), _scale(x, -1, 1, Y1, Y0), "trace"),
+        _polyline(_scale(envelope.times(), 0, sig.duration, X0, X1),
+                  _scale(envelope.values, -1, 1, Y1, Y0), "over"),
+    ]
+    return f"waveform: {sig.label}", parts, "0 s", f"{sig.duration:.2f} s"
+
+
+def spectrum_panel(spec, bars) -> tuple:
     y = spec.residual
     lo, hi = float(spec.freqs[0]), float(spec.freqs[-1])
+    parts = [f'<line class="bar" x1="{bx}" y1="{Y0}" x2="{bx}" y2="{Y1}"/>'
+             for bx in (_n(_scale(f, lo, hi, X0, X1)) for f in bars)]
     ylo, yhi = float(np.min(y)), float(np.max(y))
-    for f in bars:
-        bx = _n(p.xmap(f, lo, hi))
-        p.parts.append(f'<line class="bar" x1="{bx}" y1="{p.y0}" x2="{bx}" y2="{p.y1}"/>')
-    p.parts.append(_polyline(p.xmap(spec.freqs, lo, hi), p.ymap(y, ylo, yhi), "trace"))
-    p.xlabel(f"{lo:g} Hz", f"{hi:g} Hz")
-    return p
+    parts.append(_polyline(_scale(spec.freqs, lo, hi, X0, X1), _scale(y, ylo, yhi, Y1, Y0),
+                           "trace"))
+    return f"{spec.domain} spectrum: {spec.label}", parts, f"{lo:g} Hz", f"{hi:g} Hz"
 
 
-def histogram_panel(bins, band, title: str) -> Panel:
-    p = Panel(title)
-    bins = np.asarray(bins, dtype=np.float64)
-    top = float(bins.max())
-    width = (p.x1 - p.x0) / bins.size
-    for i, b in enumerate(bins):
-        h = (p.y1 - p.y0) * (b / top)
-        x = p.x0 + i * width
-        p.parts.append(
-            f'<rect class="box" x="{_n(x + 1)}" y="{_n(p.y1 - h)}" '
-            f'width="{_n(width - 2)}" height="{_n(h)}"/>'
-        )
-    p.xlabel(f"{band[0]:g} Hz", f"{band[1]:g} Hz")
-    return p
+def histogram_panel(bins, band, title: str) -> tuple:
+    width = (X1 - X0) / len(bins)
+    parts = _boxes(bins, X0 + np.arange(len(bins)) * width + 1, width - 2, Y1, Y1 - Y0)
+    return title, parts, f"{band[0]:g} Hz", f"{band[1]:g} Hz"
 
 
-def f0_panel(track: Track, f0_min: float, f0_max: float, label: str) -> Panel:
-    p = Panel(f"F0 track: {label}")
+def f0_panel(track, f0_min: float, f0_max: float, label: str) -> tuple:
+    """Each run of voiced frames as a line, or as a dot when it is one frame."""
     t = track.times()
-    v = track.values
-    xs = p.xmap(t, 0, float(t[-1]) if t.size > 1 else 1.0)
-    ys = p.ymap(v, f0_min, f0_max)
-    run_x, run_y = [], []
-    for i in range(v.size):
-        if v[i] > 0:
-            run_x.append(xs[i])
-            run_y.append(ys[i])
-        elif run_x:
-            p.parts.append(_seg(run_x, run_y))
-            run_x, run_y = [], []
-    if run_x:
-        p.parts.append(_seg(run_x, run_y))
-    p.xlabel(f"{f0_min:g} Hz", f"{f0_max:g} Hz")
-    return p
-
-
-def _seg(xs, ys) -> str:
-    if len(xs) == 1:
-        return f'<circle cx="{_n(xs[0])}" cy="{_n(ys[0])}" r="1.2" fill="#1f5fa8"/>'
-    return _polyline(xs, ys, "trace")
-
-
-def svg_document(panels) -> str:
-    height = len(panels) * (PANEL_H + GAP) + GAP
-    blocks = []
-    y = GAP
-    for panel in panels:
-        blocks.append(panel.render(y))
-        y += PANEL_H + GAP
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{PANEL_W}" '
-        f'height="{height}" viewBox="0 0 {PANEL_W} {height}">'
-        f"<style>{_STYLE}</style>" + "".join(blocks) + "</svg>\n"
-    )
+    xs = _scale(t, 0, float(t[-1]) if t.size > 1 else 1.0, X0, X1)
+    ys = _scale(track.values, f0_min, f0_max, Y1, Y0)
+    voiced = np.flatnonzero(track.values > 0)
+    parts = []
+    for run in np.split(voiced, np.flatnonzero(np.diff(voiced) > 1) + 1):
+        if run.size > 1:
+            parts.append(_polyline(xs[run], ys[run], "trace"))
+        elif run.size:
+            parts.append(f'<circle cx="{_n(xs[run[0]])}" cy="{_n(ys[run[0]])}" '
+                         f'r="1.2" fill="#1f5fa8"/>')
+    return f"F0 track: {label}", parts, f"{f0_min:g} Hz", f"{f0_max:g} Hz"
 
 
 def clip_figure(report, config) -> str:
@@ -173,15 +129,11 @@ def clip_figure(report, config) -> str:
             panels.append(spectrum_panel(report.spectra[domain], report.bars[domain]))
     for domain in DOMAINS:
         if domain in report.profiles:
-            panels.append(
-                histogram_panel(
-                    report.profiles[domain].bins,
-                    report.band,
-                    f"{domain} R-formant bins: {report.label}",
-                )
-            )
+            panels.append(histogram_panel(report.profiles[domain].bins, report.band,
+                                          f"{domain} R-formant bins: {report.label}"))
     panels.append(f0_panel(report.f0_track, config.f0_min_hz, config.f0_max_hz, report.label))
-    return svg_document(panels)
+    return _svg(PANEL_W, len(panels) * (PANEL_H + GAP) + GAP,
+                [_panel(k, *panel) for k, panel in enumerate(panels)])
 
 
 def dendrogram_figure(tree, bins_by_label: dict, band) -> str:
@@ -191,16 +143,7 @@ def dendrogram_figure(tree, bins_by_label: dict, band) -> str:
     tree_h, hist_h, label_h = 240, 70, 14
     height = tree_h + label_h + hist_h + 3 * GAP
 
-    # left-to-right leaf order from the final tree structure
-    children = {m + k: (li, ri) for k, (li, ri, _, _) in enumerate(tree.links)}
-
-    def leaves(nid):
-        if nid < m:
-            return [nid]
-        li, ri = children[nid]
-        return leaves(li) + leaves(ri)
-
-    order = leaves(2 * m - 2) if m > 1 else [0]
+    order = tree.groups[-1]  # the leaves left to right
     xpos = {nid: PAD + (width - 2 * PAD) * (i + 0.5) / m for i, nid in enumerate(order)}
     top_d = tree.links[-1][2] if tree.links else 1.0
     if top_d <= 0:
@@ -210,42 +153,25 @@ def dendrogram_figure(tree, bins_by_label: dict, band) -> str:
         return GAP + (tree_h - GAP) * (1.0 - dist / top_d)
 
     parts = []
-    heights = {nid: 0.0 for nid in range(m)}
+    ypos = [ymap(0.0)] * m  # each node's y by id, leaves first
     for k, (li, ri, dist, _) in enumerate(tree.links):
-        nid = m + k
-        heights[nid] = dist
         xl, xr = xpos[li], xpos[ri]
         y = ymap(dist)
-        yl, yr = ymap(heights[li]), ymap(heights[ri])
         parts.append(
-            f'<path class="trace" d="M {_n(xl)} {_n(yl)} V {_n(y)} '
-            f'H {_n(xr)} V {_n(yr)}" fill="none"/>'
+            f'<path class="trace" d="M {_n(xl)} {_n(ypos[li])} V {_n(y)} '
+            f'H {_n(xr)} V {_n(ypos[ri])}" fill="none"/>'
         )
-        xpos[nid] = (xl + xr) / 2.0
+        xpos[m + k] = (xl + xr) / 2.0
+        ypos.append(y)
 
     base = tree_h + GAP
     hist_top = base + label_h
     slot = (width - 2 * PAD) / m
     for i, nid in enumerate(order):
         label = tree.labels[nid]
-        x = xpos[nid]
-        parts.append(
-            f'<text x="{_n(x)}" y="{base + 10}" text-anchor="middle">{label}</text>'
-        )
-        bins = np.asarray(bins_by_label[label], dtype=np.float64)
-        top = float(bins.max())
-        bw = (slot - 12) / bins.size
-        left = PAD + i * slot + 6
-        for bi, b in enumerate(bins):
-            h = hist_h * (b / top)
-            parts.append(
-                f'<rect class="box" x="{_n(left + bi * bw)}" '
-                f'y="{_n(hist_top + hist_h - h)}" width="{_n(max(bw - 1, 0.5))}" '
-                f'height="{_n(h)}"/>'
-            )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}"><style>{_STYLE}</style>'
-        + "".join(parts)
-        + "</svg>\n"
-    )
+        parts.append(_text(_n(xpos[nid]), base + 10, label, "middle"))
+        bins = bins_by_label[label]
+        bw = (slot - 12) / len(bins)
+        lefts = PAD + i * slot + 6 + np.arange(len(bins)) * bw
+        parts += _boxes(bins, lefts, max(bw - 1, 0.5), hist_top + hist_h, hist_h)
+    return _svg(width, height, parts)

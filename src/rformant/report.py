@@ -34,11 +34,15 @@ def to_json(rep) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+_CSV_SPECIAL = set(',"\r\n')
+
+
 def _cell(x) -> str:
-    """A CSV cell: text as it is, a Python int with str, and any other number
-    at full precision and independent of locale."""
+    """A CSV cell: text as it is, or double-quoted with each " doubled when it
+    holds a comma, a quote, CR or LF (RFC 4180); a Python int with str; and
+    any other number at full precision and independent of locale."""
     if isinstance(x, str):
-        return x
+        return '"' + x.replace('"', '""') + '"' if set(x) & _CSV_SPECIAL else x
     return str(x) if isinstance(x, int) else repr(float(x))
 
 

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import re
@@ -168,6 +169,18 @@ def test_analyze_duplicate_stems_refused_before_any_work(clips, tmp_path, capsys
     out = tmp_path / "o"
     assert main(["analyze", str(good), str(bad), "--out", str(out)]) == 2
     assert "duplicate clip labels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_clip_named_combined_refused_before_any_work(clips, tmp_path, capsys):
+    # its own combined_bins.csv would be replaced by the batch table; x.wav is
+    # broken, so only a check made before analysis exits 2 with nothing written
+    good, bad = tmp_path / "combined.wav", tmp_path / "x.wav"
+    good.write_bytes(read(clips / "alpha.wav"))
+    bad.write_bytes(b"RIFFnope")
+    out = tmp_path / "o"
+    assert main(["analyze", str(good), str(bad), "--out", str(out)]) == 2
+    assert "clip label 'combined' is reserved" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -418,6 +431,41 @@ def test_cluster_hamming_metric(analyzed, tmp_path):
     dm = read(out / "distance_matrix.csv").decode().splitlines()
     cells = [float(v) for v in dm[1].split(",")[1:]]
     assert all(v == int(v) for v in cells)  # hamming counts are whole numbers
+
+
+def test_labels_with_reserved_characters_survive_every_output(tmp_path):
+    labels = ["a&b", "c,d", "e f", "it's", "x[1]"]
+    for i, label in enumerate(labels):
+        write_wav(tmp_path / f"{label}.wav", RATE, 0.9 * am_fm_tone(3.0 + i, 3.5, RATE))
+    out = tmp_path / "out"
+    assert main(["analyze", *(str(tmp_path / f"{label}.wav") for label in labels),
+                 "--out", str(out)]) == 0
+    reports = [str(out / f"{label}_report.json") for label in labels]
+    assert main(["compare", *reports, "--out", str(out), "--permutations", "99"]) == 0
+    assert main(["cluster", *reports, "--out", str(out)]) == 0
+
+    def texts(name):  # parsing also checks that the file is well-formed XML
+        return [t.text for t in ET.parse(out / name).iter("{http://www.w3.org/2000/svg}text")]
+    for label in labels:
+        assert f"waveform: {label}" in texts(f"{label}_panels.svg")
+    assert sorted(texts("dendrogram.svg")) == sorted(labels)
+    tables = {}
+    for path in out.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == len(rows[0]) for row in rows), path.name
+        tables[path.name] = rows
+    assert [row[0] for row in tables["combined_bins.csv"][1:]] == sorted(labels)
+    matrix = tables["distance_matrix.csv"]
+    assert matrix[0][1:] == [row[0] for row in matrix[1:]] == sorted(labels)
+    summary = tables["pearson_summary.csv"]
+    for row in summary[1:]:
+        assert {row[summary[0].index("min_label")], row[summary[0].index("max_label")]} <= set(labels)
+
+    newick = read(out / "dendrogram.nwk").decode()
+    leaves = re.findall(r"[(,]('(?:[^']|'')*'|[^(),:;'\[\] ]+):", newick)
+    assert sorted(leaf[1:-1].replace("''", "'") if leaf.startswith("'") else leaf
+                  for leaf in leaves) == sorted(labels)
 
 
 def permutations(command):

@@ -191,10 +191,12 @@ def test_newick_roundtrip_leaves():
     assert names == set(t.labels)
 
 
-def test_newick_rejects_unsafe_labels():
-    t = upgma(dmatrix(["A(", "B"], {(0, 1): 2.0}))
-    with pytest.raises(ValueError):
-        to_newick(t)
+def test_newick_quotes_unsafe_labels():
+    labels = ["A(", "B", "c,d", "e f", "it's", "x[1]", ""]
+    pairs = {(i, j): float(i + j) for i in range(len(labels)) for j in range(i + 1, len(labels))}
+    text = to_newick(upgma(dmatrix(labels, pairs)))
+    quoted = re.findall(r"[(,]('(?:[^']|'')*'|[^(),:;'\[\] ]*):", text)
+    assert sorted(quoted) == sorted(["'A('", "B", "'c,d'", "'e f'", "'it''s'", "'x[1]'", "''"])
 
 
 def test_dendrogram_validation():

@@ -8,11 +8,15 @@ outputs on purpose rewrites that file with
 
     PYTHONPATH=src python3 tests/golden/update.py
 
-and its diff then shows exactly which outputs moved.
+and its diff then shows exactly which outputs moved. Every file is also
+checked for its format before it is digested, so update.py cannot pin a
+malformed file.
 """
 
+import csv
 import hashlib
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -92,12 +96,34 @@ def _digests(root: Path) -> dict[str, str]:
     }
 
 
+def _format_problems(root: Path) -> list[str]:
+    """Each .svg that does not parse, .csv whose rows are not all as wide as
+    its header, and .json that does not load, below root."""
+    problems = []
+    for p in sorted(root.rglob("*")):
+        name = p.relative_to(root).as_posix()
+        try:
+            if p.suffix == ".svg":
+                ET.parse(p)
+            elif p.suffix == ".json":
+                json.loads(p.read_text(encoding="utf-8"))
+            elif p.suffix == ".csv":
+                with open(p, newline="", encoding="utf-8") as fh:
+                    widths = sorted({len(row) for row in csv.reader(fh)})
+                if len(widths) != 1:
+                    problems.append(f"{name}: rows of widths {widths}")
+        except (ET.ParseError, ValueError) as exc:
+            problems.append(f"{name}: {exc}")
+    return problems
+
+
 def output_digests(wavs: list[str], root: Path, jobs: int) -> dict[str, str]:
     """Run analyze, then compare and cluster over its reports, then pvi and
     calibrate over the tiers beside the clips, under ``root``.
 
     Returns the sha256 of every file written, keyed by its path below
-    ``root``. Every command must exit 0.
+    ``root``. Every command must exit 0, and every SVG, CSV and JSON file
+    must be well-formed.
     """
     analyzed = root / "analyze"
     assert main(["analyze", *wavs, "--out", str(analyzed), "--jobs", str(jobs)]) == 0
@@ -117,6 +143,8 @@ def output_digests(wavs: list[str], root: Path, jobs: int) -> dict[str, str]:
                          "--unit", unit]) == 0
     assert main(["calibrate", wavs[0], str(tiers / "words.csv"), str(tiers / "syllables.csv"),
                  "--out", str(root / "calibrate")]) == 0
+    problems = _format_problems(root)
+    assert not problems, "malformed outputs:\n" + "\n".join(problems)
     return _digests(root)
 
 

@@ -1,5 +1,7 @@
 """The per-clip report module: what to_json writes, load reads back and checks."""
 
+import csv
+import io
 import json
 import re
 
@@ -111,3 +113,10 @@ def test_load_checks_every_field(reports, tmp_path, change, message):
     with pytest.raises(ValueError, match="^" + re.escape(f"report 'bravo': {message}")):
         report.load(broken(reports, tmp_path, change))
 
+
+def test_table_quotes_text_cells_per_rfc_4180():
+    rows = [('say "hi"', 1.5), ("a\r\nb", 2), ("plain", 0.25)]
+    text = report.table(["label", "x"], rows)
+    assert text == 'label,x\n"say ""hi""",1.5\n"a\r\nb",2\nplain,0.25\n'
+    parsed = list(csv.reader(io.StringIO(text, newline="")))
+    assert parsed == [["label", "x"], ['say "hi"', "1.5"], ["a\r\nb", "2"], ["plain", "0.25"]]
