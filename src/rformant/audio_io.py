@@ -23,11 +23,13 @@ class AudioFileError(ValueError):
 
 @dataclass(frozen=True)
 class SignalBuffer:
-    """Uniformly sampled mono audio in [-1, 1]."""
+    """Uniformly sampled mono audio in [-1, 1]; ``clipped`` counts the
+    frames that load_wav clipped to get there."""
 
     samples: np.ndarray
     rate: float
     label: str = ""
+    clipped: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
@@ -113,7 +115,8 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
     64-bit IEEE float, plain or WAVE_FORMAT_EXTENSIBLE, mono or stereo, any
     rate. Integer samples are scaled by 1/2^(bits-1) (8-bit, which is
     unsigned, by (x-128)/128); float samples must be finite and are clipped
-    to [-1, 1]. Stereo is then mixed down by the per-sample channel mean.
+    to [-1, 1], and the frames with a sample beyond ±1 are counted in
+    ``clipped``. Stereo is then mixed down by the per-sample channel mean.
     ``trim_s`` keeps at most that many seconds from the start (the whole
     file if it is shorter); only those frames are read.
     """
@@ -164,12 +167,16 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
     if channels == 2:
         data = data.reshape(n, 2)
 
+    clipped = 0
     if tag == _FLOAT:
         bad = data.size - int(np.count_nonzero(np.isfinite(data)))
         if bad:
             raise AudioFileError(f"{path}: {bad} non-finite samples")
         samples = data.astype(np.float64)
-        np.clip(samples, -1.0, 1.0, out=samples)
+        if samples.max() > 1.0 or samples.min() < -1.0:
+            over = (np.abs(samples) > 1.0).reshape(n, -1)
+            clipped = int(np.count_nonzero(over[:, 0] | over[:, -1]))  # a frame counts once
+            np.clip(samples, -1.0, 1.0, out=samples)
     elif width == 1:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     else:
@@ -177,7 +184,8 @@ def load_wav(path, trim_s: float | None = None) -> SignalBuffer:
     if samples.ndim == 2:
         samples = samples.mean(axis=1)  # after scaling, so the dtype is still known
 
-    return SignalBuffer(samples=samples, rate=float(rate), label=path.stem)
+    return SignalBuffer(samples=samples, rate=float(rate), label=path.stem,
+                        clipped=clipped)
 
 
 def resample(sig: SignalBuffer, target_rate: float) -> SignalBuffer:

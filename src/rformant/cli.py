@@ -151,14 +151,17 @@ def cmd_analyze(args) -> int:
         """Analyze and write one clip; return its label, summary line, domain
         bins (None without that domain) and notes, or the clip's error."""
         try:
+            # a name's undecodable bytes become surrogates, which no output can hold
+            if any("\ud800" <= c <= "\udfff" for c in Path(path).stem):
+                raise ValueError("file name is not valid UTF-8, so its label cannot be written")
             rep = analyze_clip(path, cfg)
-        except ValueError as exc:  # AudioFileError is a ValueError
+            _write(out / f"{rep.label}_report.json", to_json(rep))
+            _write(out / f"{rep.label}_spectra.csv", _spectra_csv(rep))
+            _write(out / f"{rep.label}_bins.csv",
+                   _bins_csv([(d, p.bins) for d, p in rep.profiles.items()], columns))
+            _write(out / f"{rep.label}_panels.svg", clip_figure(rep, cfg))
+        except (OSError, ValueError) as exc:  # a read, analysis or write error
             return exc
-        _write(out / f"{rep.label}_report.json", to_json(rep))
-        _write(out / f"{rep.label}_spectra.csv", _spectra_csv(rep))
-        _write(out / f"{rep.label}_bins.csv",
-               _bins_csv([(d, p.bins) for d, p in rep.profiles.items()], columns))
-        _write(out / f"{rep.label}_panels.svg", clip_figure(rep, cfg))
         absent = [d for d in DOMAINS if d not in rep.profiles]
         note = f" [{', '.join(absent)} absent]" if absent else ""
         bins = rep.profiles[domain].bins if domain in rep.profiles else None
@@ -178,7 +181,8 @@ def cmd_analyze(args) -> int:
     for path, exc in failures:
         # a file error already starts with its path; an analysis error does not
         named = exc if isinstance(exc, AudioFileError) else f"{path}: {exc}"
-        print(f"failed: {named}", file=sys.stderr)
+        # a file name's undecodable byte is shown as \udcXX on any stream
+        print(f"failed: {named}".encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
 
     if not done:
         return 2

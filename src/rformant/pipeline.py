@@ -59,8 +59,6 @@ class UtteranceReport:
 
 def profile(spec: LongTermSpectrum, n: int = 6, n_bins: int = 10) -> RFormantProfile:
     """Top-n peaks plus their weighted histogram, as one record."""
-    if spec.band is None:
-        raise ValueError("spectrum has no band; normalize it first")
     # called through this module's names, which the benchmark's tracer wraps
     peaks = top_n_frequencies(spec, n)
     return RFormantProfile(
@@ -99,8 +97,12 @@ def analyze_signal(sig: SignalBuffer, config: AnalysisConfig | None = None) -> U
         series[FEMS] = continuize_f0(f0)
 
     spectra, profs, bars, notes = {}, {}, {}, []
+    if sig.clipped:
+        notes.append(f"{sig.clipped} of {sig.samples.size} samples beyond ±1 clipped on read")
     for domain, s in series.items():
-        spec = normalize_log_detrend(long_term_spectrum(s, domain, sig.label), cfg.band)
+        freqs, mag = long_term_spectrum(s, domain, cfg.band)
+        spec = LongTermSpectrum(domain, freqs, mag, normalize_log_detrend(freqs, mag),
+                                cfg.band, sig.label)
         if np.ptp(spec.residual) <= FLAT_RANGE:
             notes.append(f"{domain} absent: flat spectrum")
             continue

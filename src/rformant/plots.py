@@ -4,8 +4,9 @@ No timestamps, no external fonts, no randomness: the same analysis
 produces the same bytes. A clip's figure is a vertical stack of
 fixed-size panels, each a (title, parts, lo_text, hi_text) tuple; a
 cohort's is a dendrogram with each leaf's R-formant histogram under it.
-Every text is escaped, so a label may hold &, < or >. Coordinates are
-rounded to hundredths of a pixel.
+Every text is escaped, so a label may hold &, < or >, and a character
+that XML 1.0 forbids is written as U+FFFD. Coordinates are rounded to
+hundredths of a pixel.
 """
 
 from __future__ import annotations
@@ -35,8 +36,14 @@ def _n(x) -> str:
     return format(float(x), ".2f")
 
 
+# each character XML 1.0 forbids: C0 controls but tab, LF and CR; surrogates; U+FFFE, U+FFFF
+_NOT_XML = dict.fromkeys([*range(9), 11, 12, *range(14, 32), *range(0xD800, 0xE000),
+                          0xFFFE, 0xFFFF], "\ufffd")
+
+
 def _text(x, y, text: str, anchor: str = "") -> str:
     anchor = f' text-anchor="{anchor}"' if anchor else ""
+    text = text.translate(_NOT_XML)
     text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f'<text x="{x}" y="{y}"{anchor}>{text}</text>'
 

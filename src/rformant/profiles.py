@@ -9,6 +9,7 @@ are comparable across utterances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,6 @@ def top_n_frequencies(spec: LongTermSpectrum, n: int) -> tuple[tuple[float, floa
     is 0. Returned sorted by weight descending, ties by ascending
     frequency.
     """
-    if spec.residual is None:
-        raise ValueError("spectrum has no residual; normalize it first")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     r = spec.residual
@@ -87,8 +86,11 @@ def weighted_bins(
 ) -> np.ndarray:
     """Histogram of peak weights over equal-width bins spanning the band.
 
-    A peak exactly on the top edge counts into the last bin. The result is
-    normalized to sum 1.0, so the peaks must carry some weight.
+    A peak on an edge between two bins counts into the upper one, also when
+    rounding puts it up to 1e-9 of a bin width below that edge, as it does
+    for rfftfreq grid points; a peak on the top edge counts into the last
+    bin. The result is normalized to sum 1.0, so the peaks must carry some
+    weight.
     """
     lo, hi = band
     if not lo < hi:
@@ -100,7 +102,7 @@ def weighted_bins(
     for f, w in peaks:
         if not lo <= f <= hi:
             raise ValueError(f"peak at {f} Hz outside band {band}")
-        idx = min(int((f - lo) // width), n_bins - 1)
+        idx = min(math.floor((f - lo) / width + 1e-9), n_bins - 1)
         bins[idx] += w
     total = bins.sum()
     if total <= 0:

@@ -1,10 +1,12 @@
-"""Shared helpers: synthetic signals and on-disk WAV fixtures."""
+"""Shared helpers: synthetic signals, spectra and on-disk WAV fixtures."""
 
 import struct
 import sys
 
 import numpy as np
 from scipy.io import wavfile
+
+from rformant.lts import AMS, LongTermSpectrum, normalize_log_detrend
 
 
 def sine(freq_hz, dur_s, rate, amp=1.0, phase=0.0):
@@ -97,6 +99,13 @@ def autocorr_f0_oracle(
             cand = np.flatnonzero(peak & (r >= r_max - 0.05))
             out[j] = rate / taus[cand[0]]
     return out
+
+
+def in_band(freqs, magnitude, band=None, domain=AMS):
+    """Spectrum of these band lines, detrended as the pipeline does; the
+    band defaults to the span of ``freqs``."""
+    band = band or (freqs[0], freqs[-1])
+    return LongTermSpectrum(domain, freqs, magnitude, normalize_log_detrend(freqs, magnitude), band)
 
 
 def write_wav(path, rate, samples, dtype="int16"):

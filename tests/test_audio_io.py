@@ -225,6 +225,18 @@ def test_load_float32_clips_out_of_range(tmp_path):
     assert np.array_equal(sig.samples, [1.0, -1.0, 0.5])
 
 
+def test_load_float_counts_clipped_frames(tmp_path):
+    # a stereo frame counts once, however many of its samples were clipped
+    x = np.array([[1.5, 0.2], [-2.0, -3.0], [0.5, 0.5], [0.1, 1.25], [1.0, -1.0]])
+    wavfile.write(str(tmp_path / "st.wav"), 100, x.astype(np.float32))
+    assert load_wav(tmp_path / "st.wav").clipped == 3
+    wavfile.write(str(tmp_path / "mono.wav"), 100, x[:, 1].astype(np.float64))
+    assert load_wav(tmp_path / "mono.wav").clipped == 2
+    assert load_wav(tmp_path / "mono.wav", trim_s=0.01).clipped == 0  # only the head is read
+    write_wav(tmp_path / "int.wav", 100, x[:, 0])
+    assert load_wav(tmp_path / "int.wav").clipped == 0
+
+
 def test_load_uint8_mapping(tmp_path):
     from scipy.io import wavfile
 

@@ -15,6 +15,7 @@ from conftest import am_tone, write_wav
 import rformant
 from rformant.cli import _load_reports, build_parser, main
 from rformant.isochrony import npvi, rpvi
+from rformant.plots import _text
 from rformant.stats import distance_matrix, mantel
 
 RATE = 8000
@@ -182,6 +183,57 @@ def test_analyze_clip_named_combined_refused_before_any_work(clips, tmp_path, ca
     assert main(["analyze", str(good), str(bad), "--out", str(out)]) == 2
     assert "clip label 'combined' is reserved" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_float_clip_beyond_full_scale_notes_its_count(tmp_path, capsys):
+    loud = (1.6 * am_fm_tone(4.0, 3.5, RATE)).astype(np.float32)
+    write_wav(tmp_path / "loud.wav", RATE, loud, dtype="float32")
+    write_wav(tmp_path / "fine.wav", RATE, 0.9 * am_fm_tone(4.0, 3.5, RATE), dtype="float32")
+    assert main(["analyze", str(tmp_path / "loud.wav"), str(tmp_path / "fine.wav"),
+                 "--out", str(tmp_path / "o")]) == 0
+    clipped = [line for line in capsys.readouterr().err.splitlines() if "clipped" in line]
+    n = int(np.count_nonzero(np.abs(loud) > 1.0))
+    assert n > 0
+    assert clipped == [f"warning: loud: {n} of {loud.size} samples beyond ±1 clipped on read"]
+
+
+def test_analyze_write_errors_fail_only_their_clip(clips, tmp_path, capsys):
+    out = tmp_path / "o"
+    ok, undecodable, blocked = tmp_path / "ok.wav", tmp_path / os.fsdecode(b"b\xffd.wav"), \
+        tmp_path / "w.wav"
+    for path in (ok, undecodable, blocked):
+        path.write_bytes(read(clips / "alpha.wav"))
+    (out / "w_panels.svg").mkdir(parents=True)  # so writing w's figure fails
+    assert main(["analyze", str(ok), str(undecodable), str(blocked), "--out", str(out)]) == 1
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed: ")]
+    shown = str(undecodable).replace("\udcff", "\\udcff")
+    assert failed[0] == f"failed: {shown}: file name is not valid UTF-8, " \
+        "so its label cannot be written"
+    assert failed[1].startswith(f"failed: {blocked}: ") and len(failed) == 2
+    assert sorted(p.name for p in out.iterdir() if not p.name.startswith("w_")) == [
+        "combined_bins.csv", "ok_bins.csv", "ok_panels.svg", "ok_report.json", "ok_spectra.csv"]
+    with open(out / "combined_bins.csv", newline="", encoding="utf-8") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["ok"]
+
+
+def test_svg_text_replaces_characters_xml_forbids(tmp_path):
+    for text in ("a\x01\x1fb", "\ufffe\uffff", "\ud800", "tab\there"):
+        ET.fromstring(_text(0, 0, text))  # every one is well-formed
+    assert ET.fromstring(_text(0, 0, "a\x01b\tc&")).text == "a\ufffdb\tc&"
+    labels = ["c\x01d", "e", "f"]
+    for i, label in enumerate(labels):
+        write_wav(tmp_path / f"{label}.wav", RATE, 0.9 * am_fm_tone(3.0 + i, 3.5, RATE))
+    out = tmp_path / "out"
+    assert main(["analyze", *(str(tmp_path / f"{label}.wav") for label in labels),
+                 "--out", str(out)]) == 0
+    assert main(["cluster", *(str(out / f"{label}_report.json") for label in labels),
+                 "--out", str(out)]) == 0
+
+    def texts(name):  # parsing also checks that the file is well-formed XML
+        return [t.text for t in ET.parse(out / name).iter("{http://www.w3.org/2000/svg}text")]
+    assert "waveform: c\ufffdd" in texts("c\x01d_panels.svg")
+    assert sorted(texts("dendrogram.svg")) == ["c\ufffdd", "e", "f"]
 
 
 def test_cli_band_and_peaks_flags(clips, tmp_path):

@@ -8,20 +8,16 @@ from rformant.lts import (
     AMS,
     LongTermSpectrum,
     long_term_spectrum,
-    normalize_log_detrend,
 )
 from rformant.pipeline import profile
 from rformant.profiles import RFormantProfile, rhythm_bars, top_n_frequencies, weighted_bins
 
-from conftest import am_tone
+from conftest import am_tone, in_band
 
 
-def spectrum_from_log_shape(freqs, log_shape, band=None):
+def spectrum_from_log_shape(freqs, log_shape):
     """Spectrum whose residual ordering follows ``log_shape`` minus its line fit."""
-    raw = LongTermSpectrum(domain=AMS, freqs=freqs, magnitude=10.0 ** np.asarray(log_shape))
-    if band is None:
-        band = (freqs[0], freqs[-1])
-    return normalize_log_detrend(raw, band)
+    return in_band(freqs, 10.0 ** np.asarray(log_shape))
 
 
 def test_top_n_rank_order():
@@ -45,12 +41,6 @@ def test_top_n_exhausting_band_returns_everything():
     assert sorted(f for f, _ in peaks) == [1.0, 2.0, 3.0, 4.0, 5.0]
     with pytest.raises(ValueError):
         top_n_frequencies(spec, 6)
-
-
-def test_top_n_requires_residual():
-    raw = LongTermSpectrum(domain=AMS, freqs=np.arange(1.0, 6.0), magnitude=np.ones(5))
-    with pytest.raises(ValueError):
-        top_n_frequencies(raw, 2)
 
 
 def test_ties_broken_by_ascending_frequency():
@@ -127,6 +117,12 @@ def test_weighted_bins_empty_and_errors():
         weighted_bins([], (1.0, 11.0), 0)
 
 
+def test_peak_on_a_bin_edge_counts_into_the_upper_bin():
+    # (2.8 - 1) / 0.9 rounds to just under 2; the edge still belongs to bin 2
+    assert np.argmax(weighted_bins([(2.8, 1.0)], (1, 10), 10)) == 2
+    assert np.argmax(weighted_bins([(10.0, 1.0)], (1, 10), 10)) == 9
+
+
 def test_profile_composition_and_zero_peaks():
     spec = spectrum_from_log_shape(np.arange(1.0, 11.0), np.linspace(0, 1, 10) ** 2)
     with pytest.raises(ValueError):  # no peaks, nothing to normalize
@@ -151,8 +147,8 @@ def test_profile_gain_invariant():
     rng = np.random.default_rng(17)
     f = np.arange(1.0, 11.0)
     mag = rng.random(10) + 0.5
-    a = profile(normalize_log_detrend(LongTermSpectrum(AMS, f, mag), (1, 10)))
-    b = profile(normalize_log_detrend(LongTermSpectrum(AMS, f, 13.7 * mag), (1, 10)))
+    a = profile(in_band(f, mag, (1, 10)))
+    b = profile(in_band(f, 13.7 * mag, (1, 10)))
     assert [pf for pf, _ in a.peaks] == [pf for pf, _ in b.peaks]
     assert np.max(np.abs(a.bins - b.bins)) < 1e-9
 
@@ -161,7 +157,7 @@ def test_am_tone_top_peak_at_modulation_rate():
     x = am_tone(440.0, 4.0, 5.0, 16000)
     sig = SignalBuffer(x, 16000.0, "am")
     env = envelope_peak_pick(rectify(sig), 20, 5)
-    spec = normalize_log_detrend(long_term_spectrum(env, AEMS), (1.0, 10.0))
+    spec = in_band(*long_term_spectrum(env, AEMS, (1.0, 10.0)), (1.0, 10.0), AEMS)
     peaks = top_n_frequencies(spec, 1)
     assert abs(peaks[0][0] - 4.0) <= 0.25
     prof = profile(spec)
